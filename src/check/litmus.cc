@@ -5,11 +5,12 @@
 #include <set>
 #include <sstream>
 
-#include "baselines/replaycache.hh"
 #include "check/observer.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "isa/builder.hh"
+#include "sim/report.hh"
+#include "sim/run.hh"
 
 namespace ppa
 {
@@ -362,40 +363,27 @@ class CrashBiasObserver : public PipelineObserver
     Cycle now = 0;
 };
 
-/** One simulated instance of a litmus test: system plus sources. */
-struct EngineRun
-{
-    explicit EngineRun(const SystemConfig &sc) : system(sc) {}
-
-    System system;
-    std::vector<std::unique_ptr<ProgramExecutor>> execs;
-    std::vector<std::unique_ptr<ReplayCacheTransform>> transforms;
-};
-
-std::unique_ptr<EngineRun>
+/** Wire one simulated instance of a litmus test: seeded memory and
+ *  one program executor per thread. */
+std::unique_ptr<sim::Run>
 makeRun(const LitmusTest &test, SystemVariant variant)
 {
     const auto n = static_cast<unsigned>(test.threads.size());
     ExperimentKnobs knobs;
     knobs.threads = n;
-    SystemConfig sc = makeSystemConfig(variant, knobs, n);
-    auto run = std::make_unique<EngineRun>(sc);
-    for (unsigned t = 0; t < n; ++t)
-        run->system.seedMemory(test.threads[t].initialMemory());
-    for (unsigned t = 0; t < n; ++t) {
-        run->execs.push_back(
-            std::make_unique<ProgramExecutor>(test.threads[t]));
-        if (variant == SystemVariant::ReplayCache) {
-            run->transforms.push_back(
-                std::make_unique<ReplayCacheTransform>(
-                    *run->execs.back(), ReplayCacheParams{}));
-            run->system.bindSource(t, run->transforms.back().get());
-        } else {
-            run->system.bindSource(t, run->execs.back().get());
-        }
-    }
+    auto run = std::make_unique<sim::Run>(variant, knobs, n);
+    for (const Program &p : test.threads)
+        run->system().seedMemory(p.initialMemory());
+    for (const Program &p : test.threads)
+        run->addSource(std::make_unique<ProgramExecutor>(p));
+    run->wrapReplayCache();
+    run->bindSources();
     return run;
 }
+
+constexpr std::size_t maxSamples = 5;
+
+} // namespace
 
 std::string
 valuesStr(const std::vector<Word> &values)
@@ -419,10 +407,6 @@ cutStr(const std::vector<std::uint64_t> &cut)
     return os.str();
 }
 
-constexpr std::size_t maxSamples = 5;
-
-} // namespace
-
 std::uint64_t
 fnv64(const std::string &s)
 {
@@ -441,16 +425,11 @@ runReference(const LitmusTest &test, SystemVariant variant,
     ReferenceSummary ref;
     std::set<Cycle> interesting;
     auto run = makeRun(test, variant);
-    std::vector<std::unique_ptr<CrashBiasObserver>> observers;
-    for (unsigned t = 0; t < run->system.numCores(); ++t) {
-        observers.push_back(
-            std::make_unique<CrashBiasObserver>(interesting));
-        run->system.core(t).attachAuditObserver(observers.back().get());
-    }
-    while (!run->system.allDone() && run->system.cycle() < maxCycles)
-        run->system.tick();
-    ref.completed = run->system.allDone();
-    ref.endCycle = run->system.cycle();
+    for (unsigned t = 0; t < run->system().numCores(); ++t)
+        run->watch<CrashBiasObserver>(t, interesting);
+    run->system().runUntilCycle(maxCycles);
+    ref.completed = run->system().allDone();
+    ref.endCycle = run->system().cycle();
     ref.interesting.assign(interesting.begin(), interesting.end());
     return ref;
 }
@@ -483,22 +462,9 @@ CrashObservation
 crashObserve(const LitmusTest &test, SystemVariant variant, Cycle cycle)
 {
     auto run = makeRun(test, variant);
-    run->system.runUntilCycle(cycle);
-
-    CrashObservation obs;
-    obs.cut.reserve(run->system.numCores());
-    for (unsigned t = 0; t < run->system.numCores(); ++t)
-        obs.cut.push_back(run->system.core(t).committedStores());
-
-    auto images = run->system.powerFail();
-    if (variant == SystemVariant::Ppa)
-        run->system.recover(images);
-
-    obs.outcome.reserve(test.observed.size());
-    for (Addr a : test.observed)
-        obs.outcome.push_back(run->system.memory().nvmImage().read(
-            MemImage::wordAlign(a)));
-    return obs;
+    run->system().runUntilCycle(cycle);
+    sim::Run::CrashView view = run->crashObserve(test.observed);
+    return {std::move(view.cut), std::move(view.words)};
 }
 
 const std::vector<LitmusTest> &
@@ -704,16 +670,6 @@ std::string
 litmusResultsJson(const std::vector<LitmusResult> &results,
                   const LitmusOptions &opts)
 {
-    auto esc = [](const std::string &s) {
-        std::string out;
-        for (char ch : s) {
-            if (ch == '"' || ch == '\\')
-                out.push_back('\\');
-            out.push_back(ch);
-        }
-        return out;
-    };
-
     std::ostringstream os;
     os << "{\n";
     os << "  \"schemaVersion\": 1,\n";
@@ -736,7 +692,7 @@ litmusResultsJson(const std::vector<LitmusResult> &results,
         divergences += r.strictDivergences;
         vacuous += r.vacuous;
         pass = pass && r.pass();
-        os << "    {\"name\": \"" << esc(r.test) << "\","
+        os << "    {\"name\": \"" << metrics::jsonEscape(r.test) << "\","
            << " \"crashPoints\": " << r.crashPoints << ","
            << " \"violations\": " << r.violations << ","
            << " \"strictDivergences\": " << r.strictDivergences << ","
@@ -749,7 +705,8 @@ litmusResultsJson(const std::vector<LitmusResult> &results,
            << " \"pass\": " << (r.pass() ? "true" : "false") << ","
            << " \"notes\": [";
         for (std::size_t n = 0; n < r.notes.size(); ++n)
-            os << (n ? ", " : "") << "\"" << esc(r.notes[n]) << "\"";
+            os << (n ? ", " : "") << "\""
+               << metrics::jsonEscape(r.notes[n]) << "\"";
         os << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     os << "  ],\n";

@@ -92,6 +92,12 @@ PersistFlavor flavorForVariant(SystemVariant variant);
  */
 bool variantSupportsLitmus(SystemVariant variant, std::string *why);
 
+/** "(v0, v1, ...)": an outcome's observed values, for reports. */
+std::string valuesStr(const std::vector<Word> &values);
+
+/** "[c0, c1, ...]": a crash cut's per-thread store counts. */
+std::string cutStr(const std::vector<std::uint64_t> &cut);
+
 /** FNV-1a 64-bit string hash; mixes test identity into crash seeds. */
 std::uint64_t fnv64(const std::string &s);
 

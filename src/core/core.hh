@@ -232,7 +232,7 @@ class Core
     /**
      * A completion event. Events retire in ascending (complete,
      * robSeq) order — the pinned canonical semantic the calendar
-     * wheel and the reference priority queue both implement.
+     * wheel implements (its buckets sort by this operator).
      */
     struct ExecEvent
     {

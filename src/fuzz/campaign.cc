@@ -5,11 +5,9 @@
 #include <sstream>
 #include <utility>
 
-#include "baselines/replaycache.hh"
-#include "check/auditor.hh"
 #include "common/logging.hh"
 #include "sim/report.hh"
-#include "sim/system.hh"
+#include "sim/run.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 
@@ -33,28 +31,6 @@ flavorFromName(const std::string &name, check::PersistFlavor &out)
     else
         return false;
     return true;
-}
-
-std::string
-valuesStr(const std::vector<Word> &values)
-{
-    std::ostringstream os;
-    os << "(";
-    for (std::size_t i = 0; i < values.size(); ++i)
-        os << (i ? ", " : "") << values[i];
-    os << ")";
-    return os.str();
-}
-
-std::string
-cutStr(const std::vector<std::uint64_t> &cut)
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < cut.size(); ++i)
-        os << (i ? ", " : "") << cut[i];
-    os << "]";
-    return os.str();
 }
 
 /**
@@ -110,66 +86,38 @@ recordAndReplay(const check::LitmusTest &test, const Violation &v,
 
     finding.replayAttempted = true;
 
-    // Replay from disk and crash at the same cycle.
+    // Replay from disk and crash at the same cycle, auditors attached
+    // where the variant has them.
     std::string error;
     trace::TraceSet set;
     if (!set.load(dir, error)) {
         finding.detail += "; trace reload failed: " + error;
         return;
     }
-    std::vector<std::unique_ptr<trace::TraceReplaySource>> sources;
-    std::vector<std::unique_ptr<ReplayCacheTransform>> transforms;
-
     ExperimentKnobs knobs;
     knobs.threads = n;
-    SystemConfig sc = makeSystemConfig(v.variant, knobs, n);
-    System system(sc);
-    for (unsigned t = 0; t < n; ++t)
-        system.seedMemory(test.threads[t].initialMemory());
-    for (unsigned t = 0; t < n; ++t) {
-        sources.push_back(
-            std::make_unique<trace::TraceReplaySource>(set, t));
-        if (v.variant == SystemVariant::ReplayCache) {
-            transforms.push_back(std::make_unique<ReplayCacheTransform>(
-                *sources.back(), ReplayCacheParams{}));
-            system.bindSource(t, transforms.back().get());
-        } else {
-            system.bindSource(t, sources.back().get());
-        }
-    }
+    knobs.audit = true;
+    sim::Run run(v.variant, knobs, n);
+    for (const Program &p : test.threads)
+        run.system().seedMemory(p.initialMemory());
+    run.replayTrace(std::move(set));
+    run.wrapReplayCache();
+    run.bindSources();
+    run.attachAuditors();
 
-    std::vector<std::unique_ptr<check::Auditor>> auditors;
-    if (v.variant == SystemVariant::Ppa) {
-        auto oracle = std::make_shared<check::StoreOracle>();
-        for (unsigned t = 0; t < n; ++t) {
-            auditors.push_back(std::make_unique<check::Auditor>(
-                system.core(t), system.memory(), oracle));
-            auditors.back()->attach();
-        }
-    }
+    run.system().runUntilCycle(v.cycle);
+    sim::Run::CrashView view = run.crashObserve(test.observed);
+    RunStats audit;
+    run.collectAudit(audit);
+    run.verifyReplay(audit);
+    finding.replayAuditViolations +=
+        audit.auditViolations + audit.replayMismatches;
 
-    system.runUntilCycle(v.cycle);
-    check::PersistModel::StoreCut cut;
-    for (unsigned t = 0; t < n; ++t)
-        cut.push_back(system.core(t).committedStores());
-    auto images = system.powerFail();
-    if (v.variant == SystemVariant::Ppa) {
-        system.recover(images);
-        for (auto &auditor : auditors) {
-            finding.replayAuditViolations += auditor->violationCount();
-            auto replay = auditor->verifyReplay();
-            finding.replayAuditViolations += replay.mismatches;
-        }
-    }
-    check::PersistModel::Outcome outcome;
-    for (Addr a : test.observed)
-        outcome.push_back(
-            system.memory().nvmImage().read(MemImage::wordAlign(a)));
-
-    finding.replayConfirmed = cut == v.cut && outcome == v.outcome;
+    finding.replayConfirmed = view.cut == v.cut && view.words == v.outcome;
     if (!finding.replayConfirmed)
-        finding.detail += "; replay diverged: cut " + cutStr(cut) +
-                          " outcome " + valuesStr(outcome);
+        finding.detail += "; replay diverged: cut " +
+                          check::cutStr(view.cut) + " outcome " +
+                          check::valuesStr(view.words);
 }
 
 std::uint64_t
@@ -179,18 +127,6 @@ countActions(const FuzzSpec &spec)
     for (const ThreadSpec &ts : spec.threads)
         a += ts.actions.size();
     return a;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            out.push_back('\\');
-        out.push_back(ch);
-    }
-    return out;
 }
 
 } // namespace
@@ -286,10 +222,10 @@ runCampaign(const CampaignOptions &opts)
         finding.threadsBefore =
             static_cast<unsigned>(spec.threads.size());
         finding.actionsBefore = countActions(spec);
-        finding.detail = "outcome " + valuesStr(offender.outcome) +
+        finding.detail = "outcome " + check::valuesStr(offender.outcome) +
                          " forbidden under " +
                          check::flavorName(offender.flavor) +
-                         " at cut " + cutStr(offender.cut) + " cycle " +
+                         " at cut " + check::cutStr(offender.cut) + " cycle " +
                          std::to_string(offender.cycle);
 
         if (!opts.traceDir.empty())
@@ -326,8 +262,8 @@ reproducerText(const Violation &v)
     os << "variant " << variantToken(v.variant) << "\n";
     os << "flavor " << check::flavorName(v.flavor) << "\n";
     os << "cycle " << v.cycle << "\n";
-    os << "# cut " << cutStr(v.cut) << " outcome "
-       << valuesStr(v.outcome) << "\n";
+    os << "# cut " << check::cutStr(v.cut) << " outcome "
+       << check::valuesStr(v.outcome) << "\n";
     os << specText(v.spec);
     os << "end\n";
     return os.str();
@@ -403,7 +339,7 @@ campaignJson(const CampaignResult &res, const CampaignOptions &opts)
     os << "  \"findings\": [\n";
     for (std::size_t i = 0; i < res.findings.size(); ++i) {
         const CampaignFinding &f = res.findings[i];
-        os << "    {\"program\": \"" << jsonEscape(f.program) << "\","
+        os << "    {\"program\": \"" << metrics::jsonEscape(f.program) << "\","
            << " \"index\": " << f.index << ","
            << " \"flavor\": \"" << check::flavorName(f.flavor) << "\","
            << " \"strictOnly\": " << (f.strictOnly ? "true" : "false")
@@ -423,14 +359,14 @@ campaignJson(const CampaignResult &res, const CampaignOptions &opts)
            << (f.replayConfirmed ? "true" : "false") << ","
            << " \"replayAuditViolations\": " << f.replayAuditViolations
            << "," << " \"reproducer\": \""
-           << jsonEscape(f.reproducerFile) << "\","
-           << " \"detail\": \"" << jsonEscape(f.detail) << "\"}"
+           << metrics::jsonEscape(f.reproducerFile) << "\","
+           << " \"detail\": \"" << metrics::jsonEscape(f.detail) << "\"}"
            << (i + 1 < res.findings.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
     os << "  \"notes\": [";
     for (std::size_t i = 0; i < res.notes.size(); ++i)
-        os << (i ? ", " : "") << "\"" << jsonEscape(res.notes[i])
+        os << (i ? ", " : "") << "\"" << metrics::jsonEscape(res.notes[i])
            << "\"";
     os << "]\n";
     os << "}\n";

@@ -1,20 +1,16 @@
 #include "serve/serve.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "baselines/durability.hh"
 #include "check/observer.hh"
 #include "common/logging.hh"
-#include "sim/experiment.hh"
 #include "sim/report.hh"
-#include "sim/system.hh"
+#include "sim/run.hh"
 
 namespace ppa
 {
@@ -159,28 +155,24 @@ class AckTracker : public check::PipelineObserver
     Cycle now = 0;
 };
 
-/** One fully wired simulation instance (system, streams, transforms,
- *  trackers). Fresh per measurement run and per failure branch. */
-struct ServeRun
-{
-    std::unique_ptr<System> system;
-    std::vector<std::unique_ptr<RequestSource>> sources;
-    std::vector<std::unique_ptr<UndoRedoLogTransform>> undoRedo;
-    std::vector<std::unique_ptr<DelayFreeTransform>> delayFree;
-    std::vector<std::unique_ptr<AckTracker>> trackers;
-};
-
-ServeRun
-makeRun(const ServeConfig &cfg, ServeVariant variant)
+/**
+ * Wire one simulation instance: per-core request streams under the
+ * variant's durability transform, each core watched by an AckTracker
+ * (returned in @p trackers). Fresh per measurement run and per failure
+ * branch.
+ */
+std::unique_ptr<sim::Run>
+makeRun(const ServeConfig &cfg, ServeVariant variant,
+        std::vector<AckTracker *> &trackers)
 {
     PPA_ASSERT(cfg.threads > 0, "serve needs at least one thread");
     ExperimentKnobs knobs;
     knobs.threads = cfg.threads;
-    SystemConfig sc =
-        makeSystemConfig(systemVariantFor(variant), knobs, cfg.threads);
-
-    ServeRun run;
-    run.system = std::make_unique<System>(sc);
+    knobs.telemetry = cfg.telemetry;
+    knobs.telemetrySampleCycles = cfg.telemetrySampleCycles;
+    knobs.telemetrySeriesCap = cfg.telemetrySeriesCap;
+    auto run = std::make_unique<sim::Run>(systemVariantFor(variant),
+                                          knobs, cfg.threads);
     for (unsigned t = 0; t < cfg.threads; ++t) {
         RequestStreamConfig rc;
         rc.workload = cfg.workload;
@@ -192,70 +184,21 @@ makeRun(const ServeConfig &cfg, ServeVariant variant)
         rc.dataBase = dataBase(t);
         rc.ackAddr = ackAddr(t);
         rc.scratchAddr = scratchAddr(t);
-        run.sources.push_back(std::make_unique<RequestSource>(rc));
+        run->addSource(std::make_unique<RequestSource>(rc));
 
-        DynInstSource *src = run.sources.back().get();
         DurabilityParams dp;
         dp.publishAddr = ackAddr(t);
         dp.commitAddr = commitAddr(t);
         dp.logBase = logBase(t);
-        if (variant == ServeVariant::UndoRedoLog) {
-            run.undoRedo.push_back(
-                std::make_unique<UndoRedoLogTransform>(*src, dp));
-            src = run.undoRedo.back().get();
-        } else if (variant == ServeVariant::DelayFree) {
-            run.delayFree.push_back(
-                std::make_unique<DelayFreeTransform>(*src, dp));
-            src = run.delayFree.back().get();
-        }
-        run.system->bindSource(t, src);
+        if (variant == ServeVariant::UndoRedoLog)
+            run->stack<UndoRedoLogTransform>(t, dp);
+        else if (variant == ServeVariant::DelayFree)
+            run->stack<DelayFreeTransform>(t, dp);
 
-        run.trackers.push_back(
-            std::make_unique<AckTracker>(ackAddr(t)));
-        run.system->core(t).attachAuditObserver(
-            run.trackers.back().get());
+        trackers.push_back(&run->watch<AckTracker>(t, ackAddr(t)));
     }
+    run->bindSources();
     return run;
-}
-
-/**
- * Run @p fn(0..jobs-1) on a pool of @p workers host threads. Results
- * must be written to per-index slots; any worker count (including 1)
- * produces identical results because scheduling only decides who
- * computes each independent index.
- */
-void
-runIndexed(unsigned workers, std::size_t jobs,
-           const std::function<void(std::size_t)> &fn)
-{
-    if (jobs == 0)
-        return;
-    if (workers == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        workers = hw ? hw : 1;
-    }
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(workers, jobs));
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < jobs; ++i)
-            fn(i);
-        return;
-    }
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-            for (;;) {
-                std::size_t i = next.fetch_add(1);
-                if (i >= jobs)
-                    return;
-                fn(i);
-            }
-        });
-    }
-    for (std::thread &th : pool)
-        th.join();
 }
 
 Cycle
@@ -288,32 +231,31 @@ modelRecovery(const ServeConfig &cfg, ServeVariant variant,
 FailurePoint
 crashBranch(const ServeConfig &cfg, ServeVariant variant, Cycle crash)
 {
-    ServeRun run = makeRun(cfg, variant);
-    run.system->runUntilCycle(crash);
+    std::vector<AckTracker *> trackers;
+    std::unique_ptr<sim::Run> run = makeRun(cfg, variant, trackers);
+    run->system().runUntilCycle(crash);
 
     // Snapshot completion counts before power-fail/recovery: PPA
     // recovery replays the CSQ, and nothing replayed may be
     // double-counted as newly completed work.
     std::vector<std::uint64_t> completed(cfg.threads);
     for (unsigned t = 0; t < cfg.threads; ++t)
-        completed[t] = run.trackers[t]->ackCycles.size();
+        completed[t] = trackers[t]->ackCycles.size();
 
-    std::vector<CheckpointImage> images = run.system->powerFail();
-    if (variant == ServeVariant::Ppa)
-        run.system->recover(images);
+    // The durable frontier is read from the post-crash NVM image: the
+    // last sequence number whose ack (PPA, delay-free) or commit
+    // record (undo/redo logging) actually persisted.
+    std::vector<Addr> frontier;
+    for (unsigned t = 0; t < cfg.threads; ++t)
+        frontier.push_back(variant == ServeVariant::UndoRedoLog
+                               ? commitAddr(t)
+                               : ackAddr(t));
+    sim::Run::CrashView view = run->crashObserve(frontier);
 
     FailurePoint fp;
     fp.cycle = crash;
     for (unsigned t = 0; t < cfg.threads; ++t) {
-        // The durable frontier is read from the post-crash NVM image:
-        // the last sequence number whose ack (PPA, delay-free) or
-        // commit record (undo/redo logging) actually persisted.
-        Addr word = variant == ServeVariant::UndoRedoLog
-                        ? MemImage::wordAlign(commitAddr(t))
-                        : MemImage::wordAlign(ackAddr(t));
-        std::uint64_t durable =
-            run.system->memory().nvmImage().read(word);
-        durable = std::min(durable, completed[t]);
+        std::uint64_t durable = std::min(view.words[t], completed[t]);
 
         fp.completedRequests += completed[t];
         fp.durableRequests += durable;
@@ -322,14 +264,13 @@ crashBranch(const ServeConfig &cfg, ServeVariant variant, Cycle crash)
         // Data-loss window: how far back acknowledged work can
         // disappear — from the completion of the first lost request
         // to the crash. Zero when every completed request survived.
-        Cycle window =
-            durable < completed[t]
-                ? crash - run.trackers[t]->ackCycles[durable]
-                : 0;
+        Cycle window = durable < completed[t]
+                           ? crash - trackers[t]->ackCycles[durable]
+                           : 0;
         fp.lossWindow = std::max(fp.lossWindow, window);
     }
     fp.recoveryCycles =
-        modelRecovery(cfg, variant, images, fp.lostRequests);
+        modelRecovery(cfg, variant, view.images, fp.lostRequests);
     return fp;
 }
 
@@ -381,49 +322,39 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
     out.variant = variant;
     out.requests = cfg.requests;
 
-    ServeRun run = makeRun(cfg, variant);
-
-    std::unique_ptr<obs::Telemetry> telem;
-    if (cfg.telemetry) {
-        obs::TelemetryConfig tc;
-        tc.sampleCycles = cfg.telemetrySampleCycles;
-        tc.seriesCap = cfg.telemetrySeriesCap;
-        telem = std::make_unique<obs::Telemetry>(tc, cfg.threads);
-        for (unsigned t = 0; t < cfg.threads; ++t)
-            telem->attach(run.system->core(t), run.system->memory());
-    }
-
-    run.system->run(cycleCap(cfg));
+    std::vector<AckTracker *> trackers;
+    std::unique_ptr<sim::Run> run = makeRun(cfg, variant, trackers);
+    run->attachTelemetry();
+    run->system().run(cycleCap(cfg));
 
     for (unsigned t = 0; t < cfg.threads; ++t) {
-        const AckTracker &tr = *run.trackers[t];
+        const AckTracker &tr = *trackers[t];
         out.completed += tr.ackCycles.size();
         if (!tr.ackCycles.empty())
             out.serviceCycles =
                 std::max(out.serviceCycles, tr.ackCycles.back());
-        out.committedInsts += run.system->core(t).committedInsts();
-        out.committedStores += run.system->core(t).committedStores();
+        out.committedInsts += run->system().core(t).committedInsts();
+        out.committedStores += run->system().core(t).committedStores();
+        if (auto *tf = dynamic_cast<const UndoRedoLogTransform *>(
+                &run->top(t))) {
+            out.injectedClwbs += tf->injectedClwbs();
+            out.injectedFences += tf->injectedFences();
+            out.injectedLogStores += tf->injectedLogStores();
+        } else if (auto *df = dynamic_cast<const DelayFreeTransform *>(
+                       &run->top(t))) {
+            out.injectedClwbs += df->injectedClwbs();
+            out.injectedFences += df->injectedFences();
+        }
     }
-    for (const auto &tf : run.undoRedo) {
-        out.injectedClwbs += tf->injectedClwbs();
-        out.injectedFences += tf->injectedFences();
-        out.injectedLogStores += tf->injectedLogStores();
-    }
-    for (const auto &tf : run.delayFree) {
-        out.injectedClwbs += tf->injectedClwbs();
-        out.injectedFences += tf->injectedFences();
-    }
-    out.nvmWrites = run.system->memory().nvm().writeCount();
-    out.nvmBytesWritten = run.system->memory().nvm().bytesWritten();
-
-    if (telem)
-        out.telemetry = telem->harvest();
+    out.nvmWrites = run->system().memory().nvm().writeCount();
+    out.nvmBytesWritten = run->system().memory().nvm().bytesWritten();
+    out.telemetry = run->harvestTelemetry();
 
     // Open-loop latency: remap the simulated service timeline onto
     // the arrival process with the Lindley recursion (see serve.hh).
     double makespan = 0.0;
     for (unsigned t = 0; t < cfg.threads; ++t) {
-        const AckTracker &tr = *run.trackers[t];
+        const AckTracker &tr = *trackers[t];
         ArrivalProcess arrivals(cfg.arrival,
                                 mixSeed(cfg.seed, t, kArrivalSalt));
         Cycle prev_ack = 0;
@@ -439,7 +370,7 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
             out.latency.sample(
                 static_cast<std::uint64_t>(std::llround(
                     finish - arrival)));
-            if (telem) {
+            if (cfg.telemetry) {
                 if (out.telemetry.requestSpans.size() <
                     obs::kRequestSpanCap) {
                     obs::TelemetryRequestSpan span;
@@ -478,7 +409,7 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
             points.push_back(std::max<Cycle>(c, 1));
         }
         out.failures.resize(points.size());
-        runIndexed(cfg.workers, points.size(), [&](std::size_t i) {
+        sim::runIndexed(cfg.workers, points.size(), [&](std::size_t i) {
             out.failures[i] = crashBranch(cfg, variant, points[i]);
         });
     }

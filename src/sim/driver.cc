@@ -3,28 +3,14 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <thread>
+
+#include "sim/run.hh"
 
 namespace ppa
 {
 
-namespace
-{
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
-
 ExperimentDriver::ExperimentDriver(unsigned workers)
-    : numWorkers(workers ? workers
-                         : std::max(1u,
-                                    std::thread::hardware_concurrency()))
+    : numWorkers(sim::hostWorkers(workers))
 {}
 
 std::vector<JobResult>
@@ -32,50 +18,23 @@ ExperimentDriver::run(const std::vector<SweepJob> &jobs,
                       const ProgressFn &progress) const
 {
     std::vector<JobResult> results(jobs.size());
-    if (jobs.empty())
-        return results;
-
-    std::atomic<std::size_t> cursor{0};
     std::atomic<std::size_t> completed{0};
     std::mutex progressMutex;
-
-    auto workOne = [&](std::size_t idx) {
+    sim::runIndexed(numWorkers, jobs.size(), [&](std::size_t idx) {
         auto start = std::chrono::steady_clock::now();
         JobResult &r = results[idx];
         r.job = jobs[idx];
         r.stats =
             runWorkload(r.job.profile, r.job.variant, r.job.knobs);
-        r.wallSeconds = secondsSince(start);
+        r.wallSeconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
         std::size_t done = completed.fetch_add(1) + 1;
         if (progress) {
             std::lock_guard<std::mutex> lock(progressMutex);
             progress(r, done, jobs.size());
         }
-    };
-
-    unsigned pool = static_cast<unsigned>(
-        std::min<std::size_t>(numWorkers, jobs.size()));
-    if (pool <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            workOne(i);
-        return results;
-    }
-
-    auto workerLoop = [&]() {
-        for (;;) {
-            std::size_t idx = cursor.fetch_add(1);
-            if (idx >= jobs.size())
-                return;
-            workOne(idx);
-        }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (unsigned t = 0; t < pool; ++t)
-        threads.emplace_back(workerLoop);
-    for (auto &th : threads)
-        th.join();
+    });
     return results;
 }
 

@@ -1,55 +1,13 @@
 #include "sim/experiment.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
 
-#include "baselines/replaycache.hh"
-#include "check/auditor.hh"
 #include "common/logging.hh"
-#include "ppa/checkpoint_io.hh"
+#include "sim/run.hh"
 #include "sim/segment.hh"
-#include "trace/reader.hh"
-#include "workload/generator.hh"
 
 namespace ppa
 {
-
-namespace detail
-{
-
-/**
- * Power-fail the whole system, push every core's checkpoint through
- * the NVM word serialization (what recovery would actually read from
- * media), recover, and audit replay equivalence.
- */
-void
-injectPowerFailure(System &system,
-                   std::vector<std::unique_ptr<check::Auditor>> &auditors,
-                   RunStats &rs)
-{
-    std::vector<CheckpointImage> images = system.powerFail();
-    std::vector<CheckpointImage> restored;
-    restored.reserve(images.size());
-    for (const CheckpointImage &image : images)
-        restored.push_back(deserializeCheckpoint(
-            serializeCheckpoint(image)));
-    system.recover(restored);
-    ++rs.powerFailures;
-    for (auto &auditor : auditors) {
-        check::ReplayAuditResult replay = auditor->verifyReplay();
-        ++rs.replayAudits;
-        rs.replayMismatches += replay.mismatches;
-        rs.replayAddrsChecked += replay.addrsChecked;
-        if (!replay.ok() && rs.auditMessages.size() < 16) {
-            rs.auditMessages.push_back(detail::composeMessage(
-                auditor->context().describe(), ": replay diff found ",
-                replay.mismatches, " mismatched addresses"));
-        }
-    }
-}
-
-} // namespace detail
 
 const char *
 variantName(SystemVariant variant)
@@ -178,187 +136,35 @@ runWorkload(const WorkloadProfile &profile, SystemVariant variant,
                "(use failAtCycles for serial runs)");
     unsigned threads = knobs.threads ? knobs.threads
                                      : profile.defaultThreads;
-    SystemConfig sc = makeSystemConfig(variant, knobs, threads);
-    System system(sc);
+    sim::Run run(variant, knobs, threads);
+    run.attachAuditors();
+    // Telemetry attaches at cycle 0 so whole-run stall ratios share
+    // RunStats::totalCycles as their denominator.
+    run.attachTelemetry();
+    run.addStreams(profile);
+    run.wrapReplayCache();
+    run.bindSources();
 
-    // Opt-in invariant audit: one auditor per core, all sharing one
-    // committed-store oracle. Only the PPA variant has the audited
-    // structures; the knob is ignored elsewhere.
-    std::vector<std::unique_ptr<check::Auditor>> auditors;
-    if (knobs.audit && sc.core.mode == PersistMode::Ppa) {
-        auto oracle = std::make_shared<check::StoreOracle>();
-        for (unsigned t = 0; t < threads; ++t) {
-            auditors.push_back(std::make_unique<check::Auditor>(
-                system.core(t), system.memory(), oracle));
-            auditors.back()->attach();
-        }
-    }
-    PPA_ASSERT(knobs.failAtCycles.empty() ||
-                   sc.core.mode == PersistMode::Ppa,
-               "power-failure injection requires the PPA variant");
-
-    // Opt-in telemetry: attach at cycle 0 so whole-run stall ratios
-    // share RunStats::totalCycles as their denominator.
-    std::unique_ptr<obs::Telemetry> telemetry;
-    if (knobs.telemetry) {
-        obs::TelemetryConfig tc;
-        tc.sampleCycles = knobs.telemetrySampleCycles;
-        tc.seriesCap =
-            static_cast<std::size_t>(knobs.telemetrySeriesCap);
-        telemetry = std::make_unique<obs::Telemetry>(tc, threads);
-        for (unsigned t = 0; t < threads; ++t)
-            telemetry->attach(system.core(t), system.memory());
-    }
-
-    // One deterministic stream per thread: either an in-process
-    // generator or a recorded-trace replay — the core cannot tell
-    // them apart, which is what the bitwise-identity oracle checks.
-    // ReplayCache additionally wraps each stream in its compiler
-    // transformation.
+    // Failure-injection schedule: fail at each requested absolute
+    // cycle (warmup included) and recover through the serialized
+    // checkpoints.
     RunStats rs;
-    trace::TraceSet traceSet;
-    std::vector<std::unique_ptr<DynInstSource>> streams;
-    std::vector<std::unique_ptr<ReplayCacheTransform>> transforms;
-    if (!knobs.traceDir.empty()) {
-        traceSet = trace::TraceSet::openOrDie(knobs.traceDir);
-        const trace::TraceMeta &meta = traceSet.metadata();
-        if (meta.threads != threads) {
-            fatal("trace '", knobs.traceDir, "' was recorded with ",
-                  meta.threads, " thread(s) but the run wants ", threads);
-        }
-        if (meta.instsPerThread != knobs.instsPerCore) {
-            fatal("trace '", knobs.traceDir, "' holds ",
-                  meta.instsPerThread, " insts per thread but the run ",
-                  "wants ", knobs.instsPerCore,
-                  " (pass matching --insts or re-record)");
-        }
-        rs.traceDir = knobs.traceDir;
-        rs.traceShards =
-            static_cast<unsigned>(traceSet.allShards().size());
-        for (unsigned t = 0; t < threads; ++t)
-            rs.traceInsts += traceSet.threadInsts(t);
-        rs.traceCrc = traceSet.combinedCrc();
-    }
-    for (unsigned t = 0; t < threads; ++t) {
-        if (!knobs.traceDir.empty()) {
-            streams.push_back(
-                std::make_unique<trace::TraceReplaySource>(traceSet, t));
-        } else {
-            streams.push_back(std::make_unique<StreamGenerator>(
-                profile, t, knobs.seed, knobs.instsPerCore));
-        }
-        if (variant == SystemVariant::ReplayCache) {
-            transforms.push_back(std::make_unique<ReplayCacheTransform>(
-                *streams.back(), ReplayCacheParams{}));
-            system.bindSource(t, transforms.back().get());
-        } else {
-            system.bindSource(t, streams.back().get());
-        }
-    }
+    run.armFailures(knobs.failAtCycles, 0, rs);
 
     // Warm the caches before measurement; see the warmupFraction doc
-    // comment in experiment.hh for the semantics.
+    // comment in experiment.hh for the semantics. Runs without
+    // failures check the target every 64 ticks, failure-injected runs
+    // every tick.
     Cycle cap = knobs.instsPerCore * 400;
     std::uint64_t warmup_insts = static_cast<std::uint64_t>(
         knobs.warmupFraction *
         static_cast<double>(knobs.instsPerCore) * threads);
-    Cycle warm_cycle = 0;
-    if (knobs.failAtCycles.empty()) {
-        while (!system.allDone() && system.cycle() < cap &&
-               system.totalCommitted() < warmup_insts) {
-            for (int i = 0; i < 64 && !system.allDone(); ++i)
-                system.tick();
-        }
-        warm_cycle = system.cycle();
-        system.run(cap);
-    } else {
-        // Failure-injection schedule: run to each requested cycle
-        // (warmup included), fail, recover through the serialized
-        // checkpoints, continue to the next one.
-        std::vector<Cycle> failures = knobs.failAtCycles;
-        std::sort(failures.begin(), failures.end());
-        std::size_t next_fail = 0;
-        bool warmed = false;
-        while (!system.allDone() && system.cycle() < cap) {
-            if (!warmed && system.totalCommitted() >= warmup_insts) {
-                warmed = true;
-                warm_cycle = system.cycle();
-            }
-            if (next_fail < failures.size() &&
-                system.cycle() >= failures[next_fail]) {
-                ++next_fail;
-                detail::injectPowerFailure(system, auditors, rs);
-            }
-            system.tick();
-        }
-        if (!warmed)
-            warm_cycle = system.cycle();
-        system.run(cap);
-    }
+    Cycle warm_cycle = run.warmup(warmup_insts, cap,
+                                  knobs.failAtCycles.empty() ? 64 : 1);
+    run.finish(cap);
 
     rs.workload = profile.name;
-    rs.variant = variant;
-    rs.threads = threads;
-    rs.totalCycles = system.cycle();
-    rs.cycles = system.cycle() - warm_cycle;
-    rs.committedInsts = system.totalCommitted();
-    rs.freeIntHist = stats::Histogram(sc.core.intPrfEntries);
-    rs.freeFpHist = stats::Histogram(sc.core.fpPrfEntries);
-
-    double region_stores = 0.0;
-    double region_others = 0.0;
-    unsigned cores_with_regions = 0;
-    for (unsigned c = 0; c < system.numCores(); ++c) {
-        const Core &core = system.core(c);
-        rs.committedStores += core.committedStores();
-        const RegionStats &reg = core.regionStats();
-        rs.regionCount += reg.regionCount();
-        rs.boundaryStallCycles += reg.stallCycles();
-        rs.renameStallNoRegCycles += core.renameStallNoRegCycles();
-        if (reg.regionCount() > 0) {
-            region_stores += reg.avgStoresPerRegion();
-            region_others += reg.avgOthersPerRegion();
-            ++cores_with_regions;
-        }
-        rs.freeIntHist.merge(core.freeIntRegHistogram());
-        rs.freeFpHist.merge(core.freeFpRegHistogram());
-        rs.coalescedStores +=
-            system.memory().writeBuffer(c).coalescedStores();
-        rs.persistOps += system.memory().writeBuffer(c).persistOps();
-    }
-    if (cores_with_regions) {
-        rs.avgRegionStores = region_stores / cores_with_regions;
-        rs.avgRegionOthers = region_others / cores_with_regions;
-    }
-    // Stall counters accumulate per core but cycles count wall-clock:
-    // normalize to per-core stalls.
-    rs.boundaryStallCycles /= threads;
-    rs.renameStallNoRegCycles /= threads;
-
-    rs.ipc = rs.totalCycles
-                 ? static_cast<double>(rs.committedInsts) /
-                       static_cast<double>(rs.totalCycles)
-                 : 0.0;
-
-    rs.nvmWrites = system.memory().nvm().writeCount();
-    rs.nvmReads = system.memory().nvm().readCount();
-    rs.nvmBytesWritten = system.memory().nvm().bytesWritten();
-    rs.wpqStallCycles = system.memory().nvm().wpqStallCycles();
-    rs.l2MissRatio = system.memory().l2MissRatio();
-
-    if (telemetry)
-        rs.telemetry = telemetry->harvest();
-
-    for (const auto &auditor : auditors) {
-        rs.auditEvents += auditor->eventCount();
-        rs.auditViolations += auditor->violationCount();
-        for (const check::AuditViolation &v : auditor->violations()) {
-            if (rs.auditMessages.size() >= 16)
-                break;
-            rs.auditMessages.push_back(
-                v.where.describe() + ": " + v.what);
-        }
-    }
+    run.fillStats(rs, warm_cycle);
     return rs;
 }
 

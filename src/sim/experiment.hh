@@ -9,7 +9,6 @@
 #define PPA_SIM_EXPERIMENT_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -268,26 +267,6 @@ struct RunStats
 SystemConfig makeSystemConfig(SystemVariant variant,
                               const ExperimentKnobs &knobs,
                               unsigned threads);
-
-namespace check
-{
-class Auditor;
-} // namespace check
-
-namespace detail
-{
-
-/**
- * Shared by the classic and time-parallel runners: power-fail the
- * whole system, round-trip every core's checkpoint through the NVM
- * serialization, recover, and audit replay equivalence into @p rs.
- */
-void injectPowerFailure(
-    System &system,
-    std::vector<std::unique_ptr<check::Auditor>> &auditors,
-    RunStats &rs);
-
-} // namespace detail
 
 /**
  * Run @p profile on @p variant and return its statistics.

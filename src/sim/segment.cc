@@ -1,12 +1,10 @@
 #include "sim/segment.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 
-#include "check/auditor.hh"
 #include "common/logging.hh"
+#include "sim/run.hh"
 #include "workload/generator.hh"
 
 namespace ppa
@@ -14,76 +12,6 @@ namespace ppa
 
 namespace
 {
-
-/**
- * Snapshot of every monotonic counter the stitcher needs, taken twice
- * per segment (at warmup end and at segment end) so the measured
- * window's contribution is the difference. All fields are either
- * monotonically increasing counters or merged histograms of such, so
- * end - warm is exact.
- */
-struct SegmentCounters
-{
-    std::uint64_t committedInsts = 0;
-    std::uint64_t committedStores = 0;
-    std::uint64_t regionCount = 0;
-    std::uint64_t boundaryStall = 0;
-    std::uint64_t renameStall = 0;
-
-    // Per-core region sums (Average only exposes mean/count, so the
-    // additive sum is reconstructed as mean * count; both snapshots
-    // reconstruct identically, keeping the delta deterministic).
-    std::vector<std::uint64_t> coreRegionCount;
-    std::vector<double> coreRegionStoreSum;
-    std::vector<double> coreRegionOtherSum;
-
-    std::uint64_t nvmWrites = 0;
-    std::uint64_t nvmReads = 0;
-    std::uint64_t nvmBytes = 0;
-    std::uint64_t wpqStall = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t persist = 0;
-
-    stats::Histogram freeInt;
-    stats::Histogram freeFp;
-};
-
-SegmentCounters
-captureCounters(System &system, const SystemConfig &sc)
-{
-    SegmentCounters c;
-    c.committedInsts = system.totalCommitted();
-    c.freeInt = stats::Histogram(sc.core.intPrfEntries);
-    c.freeFp = stats::Histogram(sc.core.fpPrfEntries);
-    for (unsigned k = 0; k < system.numCores(); ++k) {
-        const Core &core = system.core(k);
-        c.committedStores += core.committedStores();
-        const RegionStats &reg = core.regionStats();
-        c.coreRegionCount.push_back(reg.regionCount());
-        c.coreRegionStoreSum.push_back(
-            reg.avgStoresPerRegion() *
-            static_cast<double>(reg.regionCount()));
-        c.coreRegionOtherSum.push_back(
-            reg.avgOthersPerRegion() *
-            static_cast<double>(reg.regionCount()));
-        c.regionCount += reg.regionCount();
-        c.boundaryStall += reg.stallCycles();
-        c.renameStall += core.renameStallNoRegCycles();
-        c.freeInt.merge(core.freeIntRegHistogram());
-        c.freeFp.merge(core.freeFpRegHistogram());
-        c.coalesced += system.memory().writeBuffer(k).coalescedStores();
-        c.persist += system.memory().writeBuffer(k).persistOps();
-    }
-    c.nvmWrites = system.memory().nvm().writeCount();
-    c.nvmReads = system.memory().nvm().readCount();
-    c.nvmBytes = system.memory().nvm().bytesWritten();
-    c.wpqStall = system.memory().nvm().wpqStallCycles();
-    c.l2Hits = system.memory().l2().hits();
-    c.l2Misses = system.memory().l2().misses();
-    return c;
-}
 
 /** Per-bin difference of two snapshots of the same histogram. */
 stats::Histogram
@@ -105,18 +33,15 @@ histDelta(const stats::Histogram &end, const stats::Histogram &warm)
 /** Everything one segment's simulation produces. */
 struct SegmentOutcome
 {
-    SegmentCounters warm;
-    SegmentCounters end;
+    sim::Counters warm;
+    sim::Counters end;
     Cycle warmEndCycle = 0;
     Cycle endCycle = 0;
-    /** Failure/replay counters accumulated by injectPowerFailure. */
-    RunStats failures;
-    /** Whole-segment audit coverage (warmup included: the warmup
+    /** Failure, replay and audit counters and messages. Audit
+     *  coverage spans the whole segment, warmup included: the warmup
      *  prefix is extra simulated work and the auditor checks it too —
-     *  audit counters are correctness instrumentation, not timing). */
-    std::uint64_t auditEvents = 0;
-    std::uint64_t auditViolations = 0;
-    std::vector<std::string> auditMessages;
+     *  audit counters are correctness instrumentation, not timing. */
+    RunStats audit;
     /** Measured-window telemetry (attached after the warmup prefix);
      *  the stitcher rebases and concatenates it. */
     obs::TelemetryResult telemetry;
@@ -129,110 +54,49 @@ runSegment(const WorkloadProfile &profile, SystemVariant variant,
            const trace::TraceSet *traceSet,
            const std::vector<DynInstSource *> &shared)
 {
-    SystemConfig sc = makeSystemConfig(variant, knobs, threads);
-    System system(sc);
-
-    // Same opt-in audit wiring as the classic runner; each segment
-    // gets its own oracle because its System is its own machine.
-    std::vector<std::unique_ptr<check::Auditor>> auditors;
-    if (knobs.audit && sc.core.mode == PersistMode::Ppa) {
-        auto oracle = std::make_shared<check::StoreOracle>();
-        for (unsigned t = 0; t < threads; ++t) {
-            auditors.push_back(std::make_unique<check::Auditor>(
-                system.core(t), system.memory(), oracle));
-            auditors.back()->attach();
-        }
-    }
-    PPA_ASSERT(seg.failAt.empty() || sc.core.mode == PersistMode::Ppa,
-               "power-failure injection requires the PPA variant");
+    // Each segment gets its own auditors and oracle because its
+    // System is its own machine.
+    sim::Run run(variant, knobs, threads);
+    run.attachAuditors();
 
     // Sources: reuse the caller's cached ones when given, else build
     // fresh ones. Either way each is repositioned to the warmup start
     // and bounded at the segment end; recovery seeks (backward) pass
     // through the window to the underlying source.
-    std::vector<std::unique_ptr<DynInstSource>> owned;
-    std::vector<std::unique_ptr<WindowedSource>> windows;
     for (unsigned t = 0; t < threads; ++t) {
-        DynInstSource *src = nullptr;
-        if (!shared.empty()) {
-            src = shared[t];
-        } else {
-            if (traceSet) {
-                owned.push_back(std::make_unique<trace::TraceReplaySource>(
-                    *traceSet, t));
-            } else {
-                owned.push_back(std::make_unique<StreamGenerator>(
-                    profile, t, knobs.seed, knobs.instsPerCore));
-            }
-            src = owned.back().get();
-        }
-        src->seekTo(seg.warmupBegin);
-        windows.push_back(
-            std::make_unique<WindowedSource>(*src, seg.end));
-        system.bindSource(t, windows.back().get());
+        DynInstSource &src =
+            shared.empty()
+                ? run.addSource(
+                      sim::makeStream(profile, t, knobs, traceSet))
+                : run.borrowSource(*shared[t]);
+        src.seekTo(seg.warmupBegin);
+        run.stack<WindowedSource>(t, seg.end);
     }
+    run.bindSources();
 
     // Runaway envelope, mirroring the classic runner's insts * 400.
     Cycle cap = std::max<Cycle>((seg.end - seg.warmupBegin) * 400, 400);
 
     // Re-converge microarchitectural state over the warmup prefix,
     // then snapshot every counter so warmup work can be subtracted.
-    std::uint64_t warmupTotal = (seg.begin - seg.warmupBegin) * threads;
     SegmentOutcome out;
-    while (!system.allDone() && system.cycle() < cap &&
-           system.totalCommitted() < warmupTotal) {
-        system.tick();
-    }
-    out.warmEndCycle = system.cycle();
-    out.warm = captureCounters(system, sc);
+    out.warmEndCycle = run.warmup((seg.begin - seg.warmupBegin) * threads,
+                                  cap, 1);
+    out.warm = run.counters();
 
     // Telemetry covers only the measured window: attach after the
     // discarded warmup prefix so stitched series line up with the
     // stitched cycle axis.
-    std::unique_ptr<obs::Telemetry> telemetry;
-    if (knobs.telemetry) {
-        obs::TelemetryConfig tc;
-        tc.sampleCycles = knobs.telemetrySampleCycles;
-        tc.seriesCap =
-            static_cast<std::size_t>(knobs.telemetrySeriesCap);
-        telemetry = std::make_unique<obs::Telemetry>(tc, threads);
-        for (unsigned t = 0; t < threads; ++t)
-            telemetry->attach(system.core(t), system.memory());
-    }
+    run.attachTelemetry();
 
-    if (seg.failAt.empty()) {
-        system.run(cap);
-    } else {
-        // Segment-relative failure schedule: cycle 0 fires before the
-        // first measured tick, i.e. exactly at the segment join.
-        std::size_t next_fail = 0;
-        while (!system.allDone() && system.cycle() < cap) {
-            if (next_fail < seg.failAt.size() &&
-                system.cycle() - out.warmEndCycle >=
-                    seg.failAt[next_fail]) {
-                ++next_fail;
-                detail::injectPowerFailure(system, auditors,
-                                           out.failures);
-            }
-            system.tick();
-        }
-        system.run(cap);
-    }
-    out.endCycle = system.cycle();
-    out.end = captureCounters(system, sc);
-    if (telemetry)
-        out.telemetry = telemetry->harvest();
-
-    for (const auto &auditor : auditors) {
-        out.auditEvents += auditor->eventCount();
-        out.auditViolations += auditor->violationCount();
-        for (const check::AuditViolation &v : auditor->violations()) {
-            if (out.auditMessages.size() >= 16)
-                break;
-            out.auditMessages.push_back(
-                v.where.describe() + ": " + v.what);
-        }
-    }
+    // Segment-relative failure schedule: cycle 0 fires before the
+    // first measured tick, i.e. exactly at the segment join.
+    run.armFailures(seg.failAt, out.warmEndCycle, out.audit);
+    run.finish(cap);
+    out.endCycle = run.system().cycle();
+    out.end = run.counters();
+    out.telemetry = run.harvestTelemetry();
+    run.collectAudit(out.audit);
     return out;
 }
 
@@ -340,35 +204,11 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
     const trace::TraceSet *traceSet = nullptr;
     trace::TraceSet localTraces;
     if (!knobs.traceDir.empty()) {
-        if (cache) {
-            if (!cache->traceLoaded) {
-                cache->traceSet =
-                    trace::TraceSet::openOrDie(knobs.traceDir);
-                cache->traceLoaded = true;
-            }
-            traceSet = &cache->traceSet;
-        } else {
-            localTraces = trace::TraceSet::openOrDie(knobs.traceDir);
-            traceSet = &localTraces;
-        }
-        const trace::TraceMeta &meta = traceSet->metadata();
-        if (meta.threads != threads) {
-            fatal("trace '", knobs.traceDir, "' was recorded with ",
-                  meta.threads, " thread(s) but the run wants ",
-                  threads);
-        }
-        if (meta.instsPerThread != knobs.instsPerCore) {
-            fatal("trace '", knobs.traceDir, "' holds ",
-                  meta.instsPerThread, " insts per thread but the run ",
-                  "wants ", knobs.instsPerCore,
-                  " (pass matching --insts or re-record)");
-        }
-        rs.traceDir = knobs.traceDir;
-        rs.traceShards =
-            static_cast<unsigned>(traceSet->allShards().size());
-        for (unsigned t = 0; t < threads; ++t)
-            rs.traceInsts += traceSet->threadInsts(t);
-        rs.traceCrc = traceSet->combinedCrc();
+        trace::TraceSet &slot = cache ? cache->traceSet : localTraces;
+        if (slot.directory().empty())
+            slot = sim::openTrace(knobs, threads);
+        traceSet = &slot;
+        sim::noteTrace(slot, threads, rs);
     }
 
     // Cached sources are looked up (and created) before the pool
@@ -382,22 +222,10 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
                 continue;
             shared[s].resize(threads);
             for (unsigned t = 0; t < threads; ++t) {
-                auto key = std::make_pair(s, t);
-                auto it = cache->sources.find(key);
-                if (it == cache->sources.end()) {
-                    std::unique_ptr<DynInstSource> src;
-                    if (traceSet) {
-                        src = std::make_unique<
-                            trace::TraceReplaySource>(*traceSet, t);
-                    } else {
-                        src = std::make_unique<StreamGenerator>(
-                            profile, t, knobs.seed,
-                            knobs.instsPerCore);
-                    }
-                    it = cache->sources.emplace(key, std::move(src))
-                             .first;
-                }
-                shared[s][t] = it->second.get();
+                auto &src = cache->sources[{s, t}];
+                if (!src)
+                    src = sim::makeStream(profile, t, knobs, traceSet);
+                shared[s][t] = src.get();
             }
         }
     }
@@ -408,40 +236,15 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
             simIdx.push_back(s);
     }
 
-    // Segment fan-out, in the sweep driver's pool style: results land
-    // in slots indexed by segment, so scheduling order is invisible —
-    // the time-parallel determinism contract.
+    // Segment fan-out on the shared pool: results land in slots
+    // indexed by segment, so scheduling order is invisible — the
+    // time-parallel determinism contract.
     std::vector<SegmentOutcome> outcomes(plan.segments.size());
-    auto runOne = [&](unsigned s) {
+    sim::runIndexed(knobs.tpWorkers, simIdx.size(), [&](std::size_t i) {
+        unsigned s = simIdx[i];
         outcomes[s] = runSegment(profile, variant, knobs, threads,
                                  plan.segments[s], traceSet, shared[s]);
-    };
-    unsigned workers =
-        knobs.tpWorkers
-            ? knobs.tpWorkers
-            : std::max(1u, std::thread::hardware_concurrency());
-    workers = std::min<unsigned>(
-        workers, static_cast<unsigned>(simIdx.size()));
-    if (workers <= 1) {
-        for (unsigned s : simIdx)
-            runOne(s);
-    } else {
-        std::atomic<std::size_t> cursor{0};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                for (;;) {
-                    std::size_t i = cursor.fetch_add(1);
-                    if (i >= simIdx.size())
-                        return;
-                    runOne(simIdx[i]);
-                }
-            });
-        }
-        for (std::thread &th : pool)
-            th.join();
-    }
+    });
 
     // ---- Stitch: sum measured-window deltas in segment order. -------
     rs.workload = profile.name;
@@ -452,9 +255,8 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
     rs.tpWarmupInsts = knobs.tpWarmupInsts;
     rs.tpSampleStride = plan.sampleStride;
 
-    SystemConfig sc = makeSystemConfig(variant, knobs, threads);
-    rs.freeIntHist = stats::Histogram(sc.core.intPrfEntries);
-    rs.freeFpHist = stats::Histogram(sc.core.fpPrfEntries);
+    rs.freeIntHist = stats::Histogram(knobs.intPrf);
+    rs.freeFpHist = stats::Histogram(knobs.fpPrf);
 
     std::vector<double> segCpi;
     std::vector<double> storeSum(threads, 0.0);
@@ -502,20 +304,15 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
         rs.persistOps += o.end.persist - o.warm.persist;
         rs.freeIntHist.merge(histDelta(o.end.freeInt, o.warm.freeInt));
         rs.freeFpHist.merge(histDelta(o.end.freeFp, o.warm.freeFp));
-        rs.auditEvents += o.auditEvents;
-        rs.auditViolations += o.auditViolations;
-        rs.powerFailures += o.failures.powerFailures;
-        rs.replayAudits += o.failures.replayAudits;
-        rs.replayMismatches += o.failures.replayMismatches;
-        rs.replayAddrsChecked += o.failures.replayAddrsChecked;
-        for (const std::string &m : o.failures.auditMessages) {
+        rs.auditEvents += o.audit.auditEvents;
+        rs.auditViolations += o.audit.auditViolations;
+        rs.powerFailures += o.audit.powerFailures;
+        rs.replayAudits += o.audit.replayAudits;
+        rs.replayMismatches += o.audit.replayMismatches;
+        rs.replayAddrsChecked += o.audit.replayAddrsChecked;
+        for (const std::string &m : o.audit.auditMessages)
             if (rs.auditMessages.size() < 16)
                 rs.auditMessages.push_back(m);
-        }
-        for (const std::string &m : o.auditMessages) {
-            if (rs.auditMessages.size() < 16)
-                rs.auditMessages.push_back(m);
-        }
     }
     // Drain-boundary semantics: every stitched cycle is post-warmup
     // (per-segment warmup is discarded overlap work, reported via

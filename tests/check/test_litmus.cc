@@ -212,3 +212,18 @@ TEST(LitmusEngine, JsonCarriesSchemaAndPerTestVerdicts)
     EXPECT_NE(json.find("\"pass\": true"), std::string::npos);
     EXPECT_NE(json.find("\"totals\""), std::string::npos);
 }
+
+TEST(LitmusEngine, JsonEscapesControlBytesInNamesAndNotes)
+{
+    // Names come from .litmus files read with >>, notes quote them; a
+    // raw control byte would make the document invalid JSON.
+    LitmusResult r;
+    r.test = "odd\x01name";
+    r.notes.push_back("tab\there");
+    std::string json = check::litmusResultsJson({r}, LitmusOptions{});
+    EXPECT_NE(json.find("\"name\": \"odd\\u0001name\""), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"tab\\there\""), std::string::npos) << json;
+    EXPECT_EQ(json.find('\x01'), std::string::npos);
+    EXPECT_EQ(json.find('\t'), std::string::npos);
+}

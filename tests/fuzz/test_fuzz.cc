@@ -205,6 +205,34 @@ TEST(FuzzCampaign, PpaCampaignIsViolationFreeAndReproducible)
     EXPECT_EQ(fuzz::campaignJson(a, opts), fuzz::campaignJson(b, opts));
 }
 
+TEST(FuzzCampaign, JsonEscapesControlBytesInPathsAndNotes)
+{
+    // A --corpus-out path lands in reproducerFile and program names in
+    // notes; raw control bytes there would make the document invalid
+    // JSON for tools/*_report.py.
+    fuzz::CampaignResult res;
+    fuzz::CampaignFinding f;
+    f.program = "fz\x01odd";
+    f.reproducerFile = "out\tdir/fz.litmus";
+    f.detail = "cut\x1f";
+    res.findings.push_back(f);
+    res.notes.push_back("note\twith tab");
+    std::string json = fuzz::campaignJson(res, fuzz::CampaignOptions{});
+    EXPECT_NE(json.find("\"program\": \"fz\\u0001odd\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"reproducer\": \"out\\tdir/fz.litmus\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"detail\": \"cut\\u001f\""), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"note\\twith tab\""), std::string::npos)
+        << json;
+    for (char c : json)
+        EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+            << "raw control byte " << static_cast<int>(c);
+}
+
 TEST(FuzzCampaign, MemoryModeCampaignFindsAndShrinksStrictDivergence)
 {
     fuzz::CampaignOptions opts;
