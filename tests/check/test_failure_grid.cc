@@ -46,6 +46,15 @@ struct GridCase
     std::uint64_t seed;
 };
 
+// Prints the case by value: gtest's default dump of the raw bytes
+// would show the profile name's pointer and the struct's padding,
+// which change from run to run.
+std::ostream &
+operator<<(std::ostream &os, const GridCase &c)
+{
+    return os << c.profile << "_t" << c.threads;
+}
+
 class FailureGrid : public ::testing::TestWithParam<GridCase>
 {
 };

@@ -83,6 +83,14 @@ struct Case
     Cycle failCycle;
 };
 
+// Prints the case by value: gtest's default dump of the raw bytes
+// would show the kernel name's pointer, which changes from run to run.
+std::ostream &
+operator<<(std::ostream &os, const Case &c)
+{
+    return os << c.kernel << "_c" << c.failCycle;
+}
+
 class RecoverySweep : public ::testing::TestWithParam<Case>
 {
 };
