@@ -1,9 +1,10 @@
 /**
  * @file
- * Plain-text table formatting for benchmark/report output.
+ * Plain-text table formatting for report output.
  *
- * Every bench binary reproduces one of the paper's tables or figures;
- * this formatter renders their rows the way the paper reports them.
+ * Every `ppa_cli sweep` figure reproduces one of the paper's tables or
+ * figures; this formatter renders their rows the way the paper
+ * reports them.
  */
 
 #ifndef PPA_COMMON_TABLE_HH

@@ -159,10 +159,11 @@ struct ExperimentKnobs
      * Attach the obs::Telemetry collector: sampled counter series,
      * region/power timelines, and per-cycle stall attribution land in
      * RunStats::telemetry (serialized as `stats.telemetry`). Off by
-     * default; the off path costs one null-pointer test per hook site
-     * (the bench throughput gate enforces < 1% regression). Read-only
-     * instrumentation — simulated behaviour and every other stat are
-     * bitwise unchanged.
+     * default; the off path costs one null-pointer test per hook site.
+     * `ppa_cli bench --telemetry` times one run with the collector off
+     * and on, and fails when the overhead exceeds 5%
+     * (docs/TELEMETRY.md). Read-only instrumentation — simulated
+     * behaviour and every other stat are bitwise unchanged.
      */
     bool telemetry = false;
     /** Counter-series sampling period in cycles (telemetry only). */

@@ -1,19 +1,24 @@
 /**
  * @file
- * Named sweep grids for the paper's figures and tables.
+ * The paper's figures and tables: each one's sweep grid and the table
+ * it prints.
  *
  * Each evaluation figure is a grid of (workload, variant, knobs)
- * jobs. The grids live here — in the library, not in the bench
- * binaries — so `ppa_cli sweep <figure>` and the bench harness drive
- * the exact same points through the ExperimentDriver.
+ * jobs plus a report step that turns the grid's finished runs into
+ * the figure's rows. Both steps live here, next to each other, so
+ * `ppa_cli sweep <figure>` is the one path that reproduces a figure:
+ * it runs the grid through the ExperimentDriver, prints the table and
+ * writes the schema-versioned JSON document (docs/METRICS.md).
  */
 
 #ifndef PPA_SIM_FIGURES_HH
 #define PPA_SIM_FIGURES_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/table.hh"
 #include "sim/driver.hh"
 
 namespace ppa
@@ -24,7 +29,23 @@ struct FigureSweep
 {
     std::string name;        ///< e.g. "fig08"
     std::string description; ///< what the figure shows
+    ExperimentKnobs base;    ///< knobs every grid point starts from
     std::vector<SweepJob> jobs;
+};
+
+/** What one figure prints: the paper table it reproduces. */
+struct FigureTable
+{
+    std::string title;     ///< printed as "=== title ==="
+    std::string reference; ///< paper-reference line; empty for none
+    TextTable table;
+    std::string notes;     ///< free text printed after the table
+    /** Figure-specific scalars for the JSON document's "extra"
+     *  object (the analytical-model tables). */
+    std::vector<std::pair<std::string, double>> extras;
+
+    /** The printed block, from the "===" title line to the notes. */
+    std::string render() const;
 };
 
 /** Names of all registered figure sweeps, in paper order. */
@@ -38,12 +59,23 @@ bool figureExists(const std::string &name);
  * with figureExists() first for friendly handling).
  *
  * @param instsPerCore committed-instruction budget per core; 0 keeps
- *        each figure's default (the bench harness scale).
+ *        each figure's default.
  * @param seed root workload seed for every job.
  */
 FigureSweep figureSweep(const std::string &name,
                         std::uint64_t instsPerCore = 0,
                         std::uint64_t seed = 42);
+
+/**
+ * Build @p fs's table from its finished runs. @p results are the
+ * runs of `fs.jobs` in job order, as ExperimentDriver::run returns
+ * them; run-level flags such as audit or telemetry may differ from
+ * the grid's knobs. The report looks up each point it reads by
+ * (profile, variant, knobs) in `fs.jobs`; a point outside the grid,
+ * or results that do not match it, are fatal.
+ */
+FigureTable figureTable(const FigureSweep &fs,
+                        const std::vector<JobResult> &results);
 
 /** The representative cross-suite app subset used by sweep figures
  *  (full-41 sweeps would multiply runtimes by the sweep depth). */
@@ -52,8 +84,8 @@ const std::vector<std::string> &sweepAppNames();
 /**
  * The host-throughput benchmark grid: the representative app subset
  * crossed with the persistence variants (ppa, capri, replaycache).
- * `ppa_cli bench` and bench/throughput drive the same points so the
- * checked-in baseline gates both.
+ * `ppa_cli bench` drives these points, and the checked-in baseline
+ * gates them.
  *
  * @param instsPerCore committed-instruction budget per core; 0 uses
  *        the throughput default (larger than the figure default so

@@ -46,8 +46,14 @@ CASES = [
      "--tp-fail segment wants an unsigned integer"),
     (["run", "--app", "gcc", "--time-parallel", "2",
       "--tp-fail", "nope"], "--tp-fail wants SEGMENT:CYCLE"),
+    # cycle 0 is valid (exactly at the segment join); negatives are not.
     (["run", "--app", "gcc", "--time-parallel", "2",
-      "--tp-fail", "2:0"], "--tp-fail cycle must be positive"),
+      "--tp-fail", "2:-1"], "--tp-fail cycle wants an unsigned integer"),
+    # sweep numerics: trailing garbage must not be coerced.
+    (["sweep", "fig11", "--jobs", "4x"], "--jobs wants an unsigned integer"),
+    (["sweep", "fig11", "--insts", "abc"],
+     "--insts wants an unsigned integer"),
+    (["sweep", "fig11", "--seed", "12x"], "--seed wants an unsigned integer"),
     # litmus numerics share the same parser.
     (["litmus", "run", "--schedules", "0"], "--schedules must be positive"),
     (["litmus", "run", "--seed", ""], "--seed wants an unsigned integer"),

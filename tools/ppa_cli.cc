@@ -12,8 +12,9 @@
  *   ppa_cli --app water-sp --variant capri --threads 16
  *
  * The sweep subcommand runs a whole figure's simulation grid across
- * hardware threads and writes the schema-versioned JSON document
- * (docs/METRICS.md) that figure plotting consumes:
+ * hardware threads, prints the figure's table, and writes the
+ * schema-versioned JSON document (docs/METRICS.md) that figure
+ * plotting consumes:
  *
  *   ppa_cli sweep --list
  *   ppa_cli sweep fig11
@@ -171,7 +172,8 @@ void
 usageSweep()
 {
     std::printf(
-        "subcommand: sweep — run one figure's full grid in parallel\n"
+        "subcommand: sweep — run one figure's full grid in parallel and "
+        "print its table\n"
         "  ppa_cli sweep FIGURE [options]\n"
         "  ppa_cli sweep --list    list the available figure sweeps\n"
         "  --jobs N            driver worker threads (default: "
@@ -478,12 +480,11 @@ sweepMain(int argc, char **argv)
             std::printf("%s", t.render().c_str());
             return 0;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            jobs = static_cast<unsigned>(parseCount("--jobs", next()));
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
+            insts = parseCount("--insts", next());
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = parseCount("--seed", next());
         } else if (arg == "--out") {
             outDir = next();
         } else if (arg == "--csv") {
@@ -517,21 +518,20 @@ sweepMain(int argc, char **argv)
         return 1;
     }
 
-    FigureSweep fs = figureSweep(figure, insts, seed);
-    if (audit) {
-        for (SweepJob &job : fs.jobs)
-            job.knobs.audit = true;
-    }
-    if (telemetry) {
-        for (SweepJob &job : fs.jobs)
-            job.knobs.telemetry = true;
+    const FigureSweep fs = figureSweep(figure, insts, seed);
+    // Run-level flags go on a copy: the figure's table reads the
+    // grid's own points.
+    std::vector<SweepJob> runJobs = fs.jobs;
+    for (SweepJob &job : runJobs) {
+        job.knobs.audit |= audit;
+        job.knobs.telemetry |= telemetry;
     }
     ExperimentDriver driver(jobs);
     std::fprintf(stderr, "sweep %s: %zu jobs on %u threads — %s\n",
                  fs.name.c_str(), fs.jobs.size(), driver.workers(),
                  fs.description.c_str());
     auto results = driver.run(
-        fs.jobs,
+        runJobs,
         [](const JobResult &r, std::size_t done, std::size_t total) {
             std::fprintf(stderr, "  [%zu/%zu] %s/%s (%.2fs)\n", done,
                          total, r.job.profile.name.c_str(),
@@ -577,9 +577,10 @@ sweepMain(int argc, char **argv)
                     results.size(), traceDir.c_str());
     }
 
+    const FigureTable table = figureTable(fs, results);
     std::string jsonPath = outDir + "/" + fs.name + ".json";
-    if (!metrics::writeFile(jsonPath,
-                            metrics::sweepToJson(fs.name, results)))
+    if (!metrics::writeFile(
+            jsonPath, metrics::sweepToJson(fs.name, results, table.extras)))
         return 1;
     std::printf("wrote %s (%zu jobs)\n", jsonPath.c_str(),
                 results.size());
@@ -589,6 +590,7 @@ sweepMain(int argc, char **argv)
             return 1;
         std::printf("wrote %s\n", csvPath.c_str());
     }
+    std::printf("\n%s", table.render().c_str());
     return 0;
 }
 
@@ -2149,8 +2151,8 @@ main(int argc, char **argv)
             ExperimentKnobs::SegmentFailure f;
             f.segment = static_cast<unsigned>(parseCount(
                 "--tp-fail segment", spec.substr(0, colon).c_str()));
-            f.cycle = parsePositiveCount(
-                "--tp-fail cycle", spec.substr(colon + 1).c_str());
+            f.cycle = parseCount("--tp-fail cycle",
+                                 spec.substr(colon + 1).c_str());
             knobs.tpFailAt.push_back(f);
         } else if (arg == "--telemetry") {
             knobs.telemetry = true;
