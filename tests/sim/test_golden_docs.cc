@@ -11,6 +11,8 @@
  *  - runStatsToJson of a generator run with audit, injected power
  *    failures and telemetry; of a trace-driven ReplayCache run; and
  *    of a time-parallel run with audit and per-segment failures;
+ *  - sweepToJson of a classic and a time-parallel job whose knobs are
+ *    all off their defaults, with wall times zeroed;
  *  - serveToJson of a 2-thread tatp study with failures;
  *  - litmusResultsJson of corpus tests under ppa, memory-mode and
  *    replaycache;
@@ -37,6 +39,7 @@
 #include "check/litmus.hh"
 #include "fuzz/campaign.hh"
 #include "serve/serve.hh"
+#include "sim/driver.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "trace/capture.hh"
@@ -149,6 +152,43 @@ TEST(GoldenDocs, TimeParallelRunWithAuditAndSegmentFailures)
     RunStats rs = runWorkload(profileByName("gcc"), SystemVariant::Ppa, k);
     ASSERT_EQ(rs.powerFailures, 3u);
     checkGolden("run_time_parallel.json", metrics::runStatsToJson(rs));
+}
+
+TEST(GoldenDocs, SweepDocumentWithNonDefaultKnobs)
+{
+    ExperimentKnobs classic;
+    classic.instsPerCore = 3'000;
+    classic.wpqEntries = 8;
+    classic.csqEntries = 20;
+    classic.l3Cache = true;
+    classic.nvmWriteGbps = 4.0;
+    classic.wbCoalesceWindow = 0;
+    classic.warmupFraction = 0.25;
+    classic.seed = 99;
+    classic.audit = true;
+    classic.failAtCycles = {900};
+
+    ExperimentKnobs segmented;
+    segmented.instsPerCore = 4'000;
+    segmented.timeParallel = 2;
+    segmented.tpWarmupInsts = 500;
+    segmented.tpWorkers = 2;
+    segmented.tpFailAt = {{1, 0}};
+    segmented.telemetry = true;
+    segmented.telemetrySampleCycles = 512;
+    segmented.telemetrySeriesCap = 64;
+
+    std::vector<SweepJob> jobs = {
+        {profileByName("gcc"), SystemVariant::Ppa, classic},
+        {profileByName("mcf"), SystemVariant::Ppa, segmented},
+    };
+    std::vector<JobResult> results = ExperimentDriver(2).run(jobs);
+    ASSERT_EQ(results[0].stats.powerFailures, 1u);
+    ASSERT_EQ(results[1].stats.powerFailures, 1u);
+    for (JobResult &r : results)
+        r.wallSeconds = 0.0;
+    checkGolden("sweep.json",
+                metrics::sweepToJson("golden", results, {{"scalar", 1.25}}));
 }
 
 TEST(GoldenDocs, ServeTatpStudyWithFailures)
