@@ -948,22 +948,4 @@ figureTable(const FigureSweep &fs, const std::vector<JobResult> &results)
     return def->report(FigureRuns(fs, results));
 }
 
-FigureSweep
-throughputSweep(std::uint64_t instsPerCore, std::uint64_t seed)
-{
-    // Larger default budget than the figure sweeps: KIPS measurement
-    // wants per-job simulation time to dominate per-job system
-    // construction.
-    constexpr std::uint64_t defaultThroughputInsts = 60'000;
-    constexpr std::array variants{SystemVariant::Ppa, SystemVariant::Capri,
-                                  SystemVariant::ReplayCache};
-    GridBuilder g = gridAt(
-        instsPerCore ? instsPerCore : defaultThroughputInsts, seed);
-    g.cross(sweepAppProfiles(), variants, g.base);
-    return {"BENCH_throughput",
-            "simulated-KIPS host throughput, representative apps x "
-            "persistence variants",
-            g.base, std::move(g.jobs)};
-}
-
 } // namespace ppa

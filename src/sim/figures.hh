@@ -81,19 +81,6 @@ FigureTable figureTable(const FigureSweep &fs,
  *  (full-41 sweeps would multiply runtimes by the sweep depth). */
 const std::vector<std::string> &sweepAppNames();
 
-/**
- * The host-throughput benchmark grid: the representative app subset
- * crossed with the persistence variants (ppa, capri, replaycache).
- * `ppa_cli bench` drives these points, and the checked-in baseline
- * gates them.
- *
- * @param instsPerCore committed-instruction budget per core; 0 uses
- *        the throughput default (larger than the figure default so
- *        per-job wall time dominates per-job setup).
- */
-FigureSweep throughputSweep(std::uint64_t instsPerCore = 0,
-                            std::uint64_t seed = 42);
-
 } // namespace ppa
 
 #endif // PPA_SIM_FIGURES_HH

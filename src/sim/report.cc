@@ -1,9 +1,8 @@
 #include "sim/report.hh"
 
-#include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -44,20 +43,6 @@ histToJson(const stats::Histogram &h)
     return os.str();
 }
 
-stats::Histogram
-histFromJson(const JsonValue &v)
-{
-    const JsonValue &bins = v.field("bins");
-    std::vector<std::uint64_t> counts;
-    counts.reserve(bins.size());
-    for (std::size_t i = 0; i < bins.size(); ++i)
-        counts.push_back(bins.at(i).asUint64());
-    // "overflow" is absent in pre-v1.1 reports; treat it as zero.
-    std::uint64_t overflow =
-        v.hasField("overflow") ? v.field("overflow").asUint64() : 0;
-    return stats::Histogram::fromBins(std::move(counts), overflow);
-}
-
 const char *
 regionCauseToken(RegionEndCause cause)
 {
@@ -74,20 +59,6 @@ regionCauseToken(RegionEndCause cause)
     return "?";
 }
 
-RegionEndCause
-regionCauseFromToken(const std::string &token)
-{
-    if (token == "prfExhausted")
-        return RegionEndCause::PrfExhausted;
-    if (token == "csqFull")
-        return RegionEndCause::CsqFull;
-    if (token == "syncPrimitive")
-        return RegionEndCause::SyncPrimitive;
-    if (token == "endOfRun")
-        return RegionEndCause::EndOfRun;
-    fatal("unknown region-end cause token '", token, "'");
-}
-
 void
 uintArrayToJson(std::ostringstream &os,
                 const std::vector<std::uint64_t> &values)
@@ -96,16 +67,6 @@ uintArrayToJson(std::ostringstream &os,
     for (std::size_t i = 0; i < values.size(); ++i)
         os << (i ? ", " : "") << values[i];
     os << "]";
-}
-
-std::vector<std::uint64_t>
-uintArrayFromJson(const JsonValue &v)
-{
-    std::vector<std::uint64_t> out;
-    out.reserve(v.size());
-    for (const JsonValue &e : v.items())
-        out.push_back(e.asUint64());
-    return out;
 }
 
 } // namespace
@@ -181,385 +142,6 @@ telemetryToJson(const obs::TelemetryResult &t)
     }
     os << "}";
     return os.str();
-}
-
-namespace
-{
-
-obs::TelemetryResult
-telemetryFromJson(const JsonValue &v)
-{
-    obs::TelemetryResult t;
-    t.enabled = true;
-    t.sampleCycles = v.field("sampleCycles").asUint64();
-    t.seriesCap = v.field("seriesCap").asUint64();
-    t.coveredCycles = v.field("coveredCycles").asUint64();
-    for (const JsonValue &row : v.field("stallCycles").items()) {
-        std::array<std::uint64_t, obs::kCycleClassCount> counts{};
-        for (unsigned k = 0; k < obs::kCycleClassCount; ++k) {
-            counts[k] =
-                row.field(obs::cycleClassKey(
-                              static_cast<obs::CycleClass>(k)))
-                    .asUint64();
-        }
-        t.stallCycles.push_back(counts);
-    }
-    for (const JsonValue &sv : v.field("series").items()) {
-        obs::TelemetrySeries s;
-        s.name = sv.field("name").asString();
-        s.core = static_cast<int>(sv.field("core").asDouble());
-        s.cycles = uintArrayFromJson(sv.field("cycles"));
-        s.counts = uintArrayFromJson(sv.field("counts"));
-        s.sums = uintArrayFromJson(sv.field("sums"));
-        t.series.push_back(std::move(s));
-    }
-    const JsonValue &re = v.field("regionEvents");
-    t.droppedRegionEvents = re.field("dropped").asUint64();
-    for (const JsonValue &ev : re.field("events").items()) {
-        obs::TelemetryRegionEvent e;
-        e.core = static_cast<unsigned>(ev.at(0).asUint64());
-        e.start = ev.at(1).asUint64();
-        e.drainStart = ev.at(2).asUint64();
-        e.end = ev.at(3).asUint64();
-        e.cause = regionCauseFromToken(ev.at(4).asString());
-        t.regionEvents.push_back(e);
-    }
-    for (const JsonValue &ev : v.field("powerEvents").items()) {
-        obs::TelemetryPowerEvent e;
-        e.core = static_cast<unsigned>(ev.at(0).asUint64());
-        e.fail = ev.at(1).asUint64();
-        e.recover = ev.at(2).asUint64();
-        e.recovered = ev.at(3).asBool();
-        t.powerEvents.push_back(e);
-    }
-    // Absent in classic documents (and all pre-serve reports).
-    if (v.hasField("requestSpans")) {
-        const JsonValue &rs = v.field("requestSpans");
-        t.droppedRequestSpans = rs.field("dropped").asUint64();
-        for (const JsonValue &ev : rs.field("spans").items()) {
-            obs::TelemetryRequestSpan e;
-            e.core = static_cast<unsigned>(ev.at(0).asUint64());
-            e.seq = ev.at(1).asUint64();
-            e.arrival = ev.at(2).asUint64();
-            e.start = ev.at(3).asUint64();
-            e.finish = ev.at(4).asUint64();
-            t.requestSpans.push_back(e);
-        }
-    }
-    return t;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// JsonValue
-// ---------------------------------------------------------------------
-
-bool
-JsonValue::asBool() const
-{
-    PPA_ASSERT(k == Kind::Bool, "JSON value is not a bool");
-    return boolVal;
-}
-
-double
-JsonValue::asDouble() const
-{
-    PPA_ASSERT(k == Kind::Number, "JSON value is not a number");
-    return std::strtod(text.c_str(), nullptr);
-}
-
-std::uint64_t
-JsonValue::asUint64() const
-{
-    PPA_ASSERT(k == Kind::Number, "JSON value is not a number");
-    // Integer counters are serialized without exponent/fraction, so
-    // parsing the token text preserves all 64 bits.
-    return std::strtoull(text.c_str(), nullptr, 10);
-}
-
-const std::string &
-JsonValue::asString() const
-{
-    PPA_ASSERT(k == Kind::String, "JSON value is not a string");
-    return text;
-}
-
-const std::vector<JsonValue> &
-JsonValue::items() const
-{
-    PPA_ASSERT(k == Kind::Array, "JSON value is not an array");
-    return children;
-}
-
-const JsonValue &
-JsonValue::at(std::size_t i) const
-{
-    const auto &arr = items();
-    PPA_ASSERT(i < arr.size(), "JSON array index out of range");
-    return arr[i];
-}
-
-bool
-JsonValue::hasField(const std::string &key) const
-{
-    PPA_ASSERT(k == Kind::Object, "JSON value is not an object");
-    for (const auto &[name, val] : members)
-        if (name == key)
-            return true;
-    return false;
-}
-
-const JsonValue &
-JsonValue::field(const std::string &key) const
-{
-    PPA_ASSERT(k == Kind::Object, "JSON value is not an object");
-    for (const auto &[name, val] : members)
-        if (name == key)
-            return val;
-    fatal("JSON object has no field '", key, "'");
-}
-
-/** Recursive-descent parser for the JSON subset we emit. */
-class JsonParser
-{
-  public:
-    JsonParser(const std::string &src) : s(src) {}
-
-    bool
-    parse(JsonValue &out, std::string &error)
-    {
-        ok = true;
-        err.clear();
-        skipWs();
-        out = parseValue();
-        skipWs();
-        if (ok && pos != s.size())
-            fail("trailing characters after document");
-        error = err;
-        return ok;
-    }
-
-  private:
-    void
-    fail(const std::string &what)
-    {
-        if (ok) {
-            ok = false;
-            err = what + " at offset " + std::to_string(pos);
-        }
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    consumeWord(const char *w)
-    {
-        std::size_t n = std::strlen(w);
-        if (s.compare(pos, n, w) == 0) {
-            pos += n;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        if (!ok || pos >= s.size()) {
-            fail("unexpected end of input");
-            return {};
-        }
-        char c = s[pos];
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"')
-            return parseString();
-        if (c == 't' || c == 'f')
-            return parseBool();
-        if (c == 'n') {
-            if (!consumeWord("null"))
-                fail("bad literal");
-            return {};
-        }
-        return parseNumber();
-    }
-
-    JsonValue
-    parseObject()
-    {
-        JsonValue v;
-        v.k = JsonValue::Kind::Object;
-        consume('{');
-        skipWs();
-        if (consume('}'))
-            return v;
-        for (;;) {
-            skipWs();
-            JsonValue key = parseString();
-            if (!ok)
-                return v;
-            skipWs();
-            if (!consume(':')) {
-                fail("expected ':'");
-                return v;
-            }
-            skipWs();
-            v.members.emplace_back(key.text, parseValue());
-            skipWs();
-            if (consume('}'))
-                return v;
-            if (!consume(',')) {
-                fail("expected ',' or '}'");
-                return v;
-            }
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        JsonValue v;
-        v.k = JsonValue::Kind::Array;
-        consume('[');
-        skipWs();
-        if (consume(']'))
-            return v;
-        for (;;) {
-            skipWs();
-            v.children.push_back(parseValue());
-            skipWs();
-            if (consume(']'))
-                return v;
-            if (!consume(',')) {
-                fail("expected ',' or ']'");
-                return v;
-            }
-        }
-    }
-
-    JsonValue
-    parseString()
-    {
-        JsonValue v;
-        v.k = JsonValue::Kind::String;
-        if (!consume('"')) {
-            fail("expected string");
-            return v;
-        }
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos++];
-            if (c != '\\') {
-                v.text += c;
-                continue;
-            }
-            if (pos >= s.size())
-                break;
-            char esc = s[pos++];
-            switch (esc) {
-              case '"': v.text += '"'; break;
-              case '\\': v.text += '\\'; break;
-              case '/': v.text += '/'; break;
-              case 'b': v.text += '\b'; break;
-              case 'f': v.text += '\f'; break;
-              case 'n': v.text += '\n'; break;
-              case 'r': v.text += '\r'; break;
-              case 't': v.text += '\t'; break;
-              case 'u': {
-                // We only emit \u00XX for control characters.
-                if (pos + 4 > s.size()) {
-                    fail("bad \\u escape");
-                    return v;
-                }
-                unsigned code = static_cast<unsigned>(
-                    std::strtoul(s.substr(pos, 4).c_str(), nullptr, 16));
-                pos += 4;
-                if (code > 0xff) {
-                    fail("non-latin \\u escape unsupported");
-                    return v;
-                }
-                v.text += static_cast<char>(code);
-                break;
-              }
-              default:
-                fail("bad escape");
-                return v;
-            }
-        }
-        if (!consume('"'))
-            fail("unterminated string");
-        return v;
-    }
-
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.k = JsonValue::Kind::Bool;
-        if (consumeWord("true"))
-            v.boolVal = true;
-        else if (consumeWord("false"))
-            v.boolVal = false;
-        else
-            fail("bad literal");
-        return v;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        JsonValue v;
-        v.k = JsonValue::Kind::Number;
-        std::size_t start = pos;
-        if (pos < s.size() && (s[pos] == '-' || s[pos] == '+'))
-            ++pos;
-        bool digits = false;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
-                s[pos] == '-' || s[pos] == '+')) {
-            if (std::isdigit(static_cast<unsigned char>(s[pos])))
-                digits = true;
-            ++pos;
-        }
-        if (!digits) {
-            fail("expected number");
-            return v;
-        }
-        v.text = s.substr(start, pos - start);
-        return v;
-    }
-
-    const std::string &s;
-    std::size_t pos = 0;
-    bool ok = true;
-    std::string err;
-};
-
-bool
-JsonValue::parse(const std::string &text, JsonValue &out,
-                 std::string &error)
-{
-    return JsonParser(text).parse(out, error);
 }
 
 std::string
@@ -669,74 +251,6 @@ runStatsToJson(const RunStats &rs)
     return os.str();
 }
 
-RunStats
-runStatsFromJson(const JsonValue &v)
-{
-    RunStats rs;
-    rs.workload = v.field("workload").asString();
-    if (!variantFromToken(v.field("variant").asString(), rs.variant))
-        fatal("unknown variant token '",
-              v.field("variant").asString(), "'");
-    rs.threads = static_cast<unsigned>(v.field("threads").asUint64());
-    rs.cycles = v.field("cycles").asUint64();
-    rs.totalCycles = v.field("totalCycles").asUint64();
-    rs.committedInsts = v.field("committedInsts").asUint64();
-    rs.committedStores = v.field("committedStores").asUint64();
-    rs.ipc = v.field("ipc").asDouble();
-    rs.avgRegionStores = v.field("avgRegionStores").asDouble();
-    rs.avgRegionOthers = v.field("avgRegionOthers").asDouble();
-    rs.regionCount = v.field("regionCount").asUint64();
-    rs.boundaryStallCycles = v.field("boundaryStallCycles").asUint64();
-    rs.renameStallNoRegCycles =
-        v.field("renameStallNoRegCycles").asUint64();
-    rs.nvmWrites = v.field("nvmWrites").asUint64();
-    rs.nvmReads = v.field("nvmReads").asUint64();
-    rs.nvmBytesWritten = v.field("nvmBytesWritten").asUint64();
-    rs.wpqStallCycles = v.field("wpqStallCycles").asUint64();
-    rs.l2MissRatio = v.field("l2MissRatio").asDouble();
-    rs.coalescedStores = v.field("coalescedStores").asUint64();
-    rs.persistOps = v.field("persistOps").asUint64();
-    rs.freeIntHist = histFromJson(v.field("freeIntHist"));
-    rs.freeFpHist = histFromJson(v.field("freeFpHist"));
-    // Audit fields arrived with schema additions; older result files
-    // simply lack them.
-    if (v.hasField("auditEvents")) {
-        rs.auditEvents = v.field("auditEvents").asUint64();
-        rs.auditViolations = v.field("auditViolations").asUint64();
-        rs.powerFailures = v.field("powerFailures").asUint64();
-        rs.replayAudits = v.field("replayAudits").asUint64();
-        rs.replayMismatches = v.field("replayMismatches").asUint64();
-        rs.replayAddrsChecked =
-            v.field("replayAddrsChecked").asUint64();
-        for (const JsonValue &m : v.field("auditMessages").items())
-            rs.auditMessages.push_back(m.asString());
-    }
-    if (v.hasField("trace")) {
-        const JsonValue &t = v.field("trace");
-        rs.traceDir = t.field("dir").asString();
-        rs.traceShards =
-            static_cast<unsigned>(t.field("shards").asUint64());
-        rs.traceInsts = t.field("insts").asUint64();
-        rs.traceCrc = static_cast<std::uint32_t>(
-            std::stoul(t.field("crc32").asString(), nullptr, 16));
-    }
-    if (v.hasField("tp")) {
-        const JsonValue &t = v.field("tp");
-        rs.tpSegments =
-            static_cast<unsigned>(t.field("segments").asUint64());
-        rs.tpSimulatedSegments = static_cast<unsigned>(
-            t.field("simulatedSegments").asUint64());
-        rs.tpWarmupInsts = t.field("warmupInsts").asUint64();
-        rs.tpSampleStride =
-            static_cast<unsigned>(t.field("sampleStride").asUint64());
-        rs.tpWarmupCycles = t.field("warmupCycles").asUint64();
-        rs.tpCpiRelStderr = t.field("cpiRelStderr").asDouble();
-    }
-    if (v.hasField("telemetry"))
-        rs.telemetry = telemetryFromJson(v.field("telemetry"));
-    return rs;
-}
-
 std::string
 knobsToJson(const ExperimentKnobs &k)
 {
@@ -783,56 +297,6 @@ knobsToJson(const ExperimentKnobs &k)
     }
     os << "}";
     return os.str();
-}
-
-ExperimentKnobs
-knobsFromJson(const JsonValue &v)
-{
-    ExperimentKnobs k;
-    k.threads = static_cast<unsigned>(v.field("threads").asUint64());
-    k.wpqEntries =
-        static_cast<unsigned>(v.field("wpqEntries").asUint64());
-    k.intPrf = static_cast<unsigned>(v.field("intPrf").asUint64());
-    k.fpPrf = static_cast<unsigned>(v.field("fpPrf").asUint64());
-    k.csqEntries =
-        static_cast<unsigned>(v.field("csqEntries").asUint64());
-    k.nvmWriteGbps = v.field("nvmWriteGbps").asDouble();
-    k.l3Cache = v.field("l3Cache").asBool();
-    k.wbCoalesceWindow =
-        static_cast<unsigned>(v.field("wbCoalesceWindow").asUint64());
-    k.instsPerCore = v.field("instsPerCore").asUint64();
-    k.seed = v.field("seed").asUint64();
-    k.warmupFraction = v.field("warmupFraction").asDouble();
-    if (v.hasField("audit")) {
-        k.audit = v.field("audit").asBool();
-        for (const JsonValue &c : v.field("failAtCycles").items())
-            k.failAtCycles.push_back(c.asUint64());
-    }
-    if (v.hasField("traceDir"))
-        k.traceDir = v.field("traceDir").asString();
-    // tpWorkers is deliberately absent: host scheduling metadata,
-    // excluded from the determinism contract like driver workers.
-    if (v.hasField("timeParallel")) {
-        k.timeParallel =
-            static_cast<unsigned>(v.field("timeParallel").asUint64());
-        k.tpWarmupInsts = v.field("tpWarmupInsts").asUint64();
-        k.tpSampleStride = static_cast<unsigned>(
-            v.field("tpSampleStride").asUint64());
-        for (const JsonValue &f : v.field("tpFailAt").items()) {
-            ExperimentKnobs::SegmentFailure sf;
-            sf.segment = static_cast<unsigned>(
-                f.field("segment").asUint64());
-            sf.cycle = f.field("cycle").asUint64();
-            k.tpFailAt.push_back(sf);
-        }
-    }
-    if (v.hasField("telemetry")) {
-        k.telemetry = v.field("telemetry").asBool();
-        k.telemetrySampleCycles =
-            v.field("telemetrySampleCycles").asUint64();
-        k.telemetrySeriesCap = v.field("telemetrySeriesCap").asUint64();
-    }
-    return k;
 }
 
 std::string

@@ -6,18 +6,15 @@
  * versioned JSON schema (documented field by field in
  * docs/METRICS.md) and to flat CSV, so figure regeneration, plotting
  * scripts, and regression tooling can consume sweep output instead of
- * scraping stdout tables. A minimal JSON reader is included so
- * results round-trip (tests/sim/test_report.cc) and downstream tools
- * can load prior runs.
+ * scraping stdout tables. The documents are write-only here: the
+ * golden documents under tests/sim/golden/ pin them byte for byte.
  */
 
 #ifndef PPA_SIM_REPORT_HH
 #define PPA_SIM_REPORT_HH
 
-#include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/driver.hh"
@@ -35,57 +32,6 @@ namespace metrics
  * docs/METRICS.md.
  */
 constexpr int schemaVersion = 1;
-
-// ---------------------------------------------------------------------
-// Minimal JSON value model + parser (just enough for our own output).
-// ---------------------------------------------------------------------
-
-/** A parsed JSON value. Numbers keep their source text so 64-bit
- *  counters round-trip without double-precision loss. */
-class JsonValue
-{
-  public:
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-
-    Kind kind() const { return k; }
-    bool isNull() const { return k == Kind::Null; }
-
-    bool asBool() const;
-    double asDouble() const;
-    std::uint64_t asUint64() const;
-    const std::string &asString() const;
-
-    const std::vector<JsonValue> &items() const;
-    std::size_t size() const { return items().size(); }
-    const JsonValue &at(std::size_t i) const;
-
-    /** Object field access; fatal() when @p key is absent. */
-    const JsonValue &field(const std::string &key) const;
-    bool hasField(const std::string &key) const;
-
-    /**
-     * Parse a JSON document. Returns false (and fills @p error) on
-     * malformed input.
-     */
-    static bool parse(const std::string &text, JsonValue &out,
-                      std::string &error);
-
-  private:
-    friend class JsonParser;
-    Kind k = Kind::Null;
-    bool boolVal = false;
-    std::string text;        // number token or string contents
-    std::vector<JsonValue> children;
-    std::vector<std::pair<std::string, JsonValue>> members;
-};
 
 /** Escape @p s for embedding in a JSON string literal (no quotes). */
 std::string jsonEscape(const std::string &s);
@@ -105,15 +51,8 @@ std::string telemetryToJson(const obs::TelemetryResult &t);
 /** Serialize one RunStats (stats only, no knobs) as a JSON object. */
 std::string runStatsToJson(const RunStats &stats);
 
-/** Rebuild a RunStats from a JSON object parsed from runStatsToJson
- *  output. Derived ratio fields are recomputed, not read. */
-RunStats runStatsFromJson(const JsonValue &v);
-
 /** Serialize the knobs of one job as a JSON object. */
 std::string knobsToJson(const ExperimentKnobs &knobs);
-
-/** Rebuild knobs from a JSON object parsed from knobsToJson output. */
-ExperimentKnobs knobsFromJson(const JsonValue &v);
 
 /**
  * Full sweep document: schema version, sweep name, job array (spec +

@@ -106,17 +106,11 @@ Run::~Run() = default;
 DynInstSource &
 Run::addSource(std::unique_ptr<DynInstSource> source)
 {
-    DynInstSource &base = borrowSource(*source);
+    PPA_ASSERT(stacks.size() < threads, "more sources than cores");
+    DynInstSource &base = *source;
+    stacks.push_back(Stack{{}, &base});
     stacks.back().owned.push_back(std::move(source));
     return base;
-}
-
-DynInstSource &
-Run::borrowSource(DynInstSource &source)
-{
-    PPA_ASSERT(stacks.size() < threads, "more sources than cores");
-    stacks.push_back(Stack{{}, &source});
-    return source;
 }
 
 void

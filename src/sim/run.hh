@@ -112,8 +112,6 @@ class Run
     // ---- Source stacks: add one base per core in core order, stack
     // any transforms, then bindSources(). ------------------------------
     DynInstSource &addSource(std::unique_ptr<DynInstSource> source);
-    /** A caller-owned base that outlives the run. */
-    DynInstSource &borrowSource(DynInstSource &source);
 
     /** Push a Transform(top(@p core), @p args...) as the new top. */
     template <class Transform, class... Args>

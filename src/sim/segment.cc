@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "sim/run.hh"
-#include "workload/generator.hh"
 
 namespace ppa
 {
@@ -51,24 +50,19 @@ SegmentOutcome
 runSegment(const WorkloadProfile &profile, SystemVariant variant,
            const ExperimentKnobs &knobs, unsigned threads,
            const SegmentPlan::Segment &seg,
-           const trace::TraceSet *traceSet,
-           const std::vector<DynInstSource *> &shared)
+           const trace::TraceSet *traceSet)
 {
     // Each segment gets its own auditors and oracle because its
     // System is its own machine.
     sim::Run run(variant, knobs, threads);
     run.attachAuditors();
 
-    // Sources: reuse the caller's cached ones when given, else build
-    // fresh ones. Either way each is repositioned to the warmup start
-    // and bounded at the segment end; recovery seeks (backward) pass
-    // through the window to the underlying source.
+    // Each source is positioned at the warmup start and bounded at the
+    // segment end; recovery seeks (backward) pass through the window
+    // to the underlying source.
     for (unsigned t = 0; t < threads; ++t) {
         DynInstSource &src =
-            shared.empty()
-                ? run.addSource(
-                      sim::makeStream(profile, t, knobs, traceSet))
-                : run.borrowSource(*shared[t]);
+            run.addSource(sim::makeStream(profile, t, knobs, traceSet));
         src.seekTo(seg.warmupBegin);
         run.stack<WindowedSource>(t, seg.end);
     }
@@ -149,40 +143,10 @@ planSegments(const ExperimentKnobs &knobs)
     return plan;
 }
 
-std::uint64_t
-SegmentSourceCache::generatorReplayedInsts() const
-{
-    std::uint64_t n = 0;
-    for (const auto &kv : sources) {
-        if (auto *g = dynamic_cast<const StreamGenerator *>(
-                kv.second.get()))
-            n += g->replayedInsts();
-    }
-    return n;
-}
-
-std::uint64_t
-SegmentSourceCache::sourceSeeks() const
-{
-    std::uint64_t n = 0;
-    for (const auto &kv : sources) {
-        if (auto *g = dynamic_cast<const StreamGenerator *>(
-                kv.second.get())) {
-            n += g->seekCount();
-        } else if (auto *r =
-                       dynamic_cast<const trace::TraceReplaySource *>(
-                           kv.second.get())) {
-            n += r->seekCount();
-        }
-    }
-    return n;
-}
-
 RunStats
 runWorkloadTimeParallel(const WorkloadProfile &profile,
                         SystemVariant variant,
-                        const ExperimentKnobs &knobs,
-                        SegmentSourceCache *cache)
+                        const ExperimentKnobs &knobs)
 {
     PPA_ASSERT(knobs.timeParallel >= 2,
                "runWorkloadTimeParallel requires timeParallel >= 2");
@@ -201,33 +165,12 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
     SegmentPlan plan = planSegments(knobs);
 
     RunStats rs;
+    trace::TraceSet traces;
     const trace::TraceSet *traceSet = nullptr;
-    trace::TraceSet localTraces;
     if (!knobs.traceDir.empty()) {
-        trace::TraceSet &slot = cache ? cache->traceSet : localTraces;
-        if (slot.directory().empty())
-            slot = sim::openTrace(knobs, threads);
-        traceSet = &slot;
-        sim::noteTrace(slot, threads, rs);
-    }
-
-    // Cached sources are looked up (and created) before the pool
-    // starts, so the map never mutates concurrently and creation
-    // order is deterministic.
-    std::vector<std::vector<DynInstSource *>> shared(
-        plan.segments.size());
-    if (cache) {
-        for (unsigned s = 0; s < plan.segments.size(); ++s) {
-            if (!plan.segments[s].simulated)
-                continue;
-            shared[s].resize(threads);
-            for (unsigned t = 0; t < threads; ++t) {
-                auto &src = cache->sources[{s, t}];
-                if (!src)
-                    src = sim::makeStream(profile, t, knobs, traceSet);
-                shared[s][t] = src.get();
-            }
-        }
+        traces = sim::openTrace(knobs, threads);
+        traceSet = &traces;
+        sim::noteTrace(traces, threads, rs);
     }
 
     std::vector<unsigned> simIdx;
@@ -243,7 +186,7 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
     sim::runIndexed(knobs.tpWorkers, simIdx.size(), [&](std::size_t i) {
         unsigned s = simIdx[i];
         outcomes[s] = runSegment(profile, variant, knobs, threads,
-                                 plan.segments[s], traceSet, shared[s]);
+                                 plan.segments[s], traceSet);
     });
 
     // ---- Stitch: sum measured-window deltas in segment order. -------

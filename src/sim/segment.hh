@@ -31,15 +31,11 @@
 #define PPA_SIM_SEGMENT_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "isa/source.hh"
 #include "sim/experiment.hh"
-#include "trace/reader.hh"
 #include "workload/profile.hh"
 
 namespace ppa
@@ -127,43 +123,13 @@ struct SegmentPlan
 SegmentPlan planSegments(const ExperimentKnobs &knobs);
 
 /**
- * Reusable per-(segment, thread) stream sources for repeated
- * segmented runs of the same (profile, knobs) — e.g. `bench --reps`.
- * Reuse matters because a fresh source pays an O(segment start)
- * fast-forward, while a reused StreamGenerator re-seeks from its
- * nearest state snapshot in O(snapshotInterval) and a reused
- * TraceReplaySource repositions in O(block). The cache owns the
- * sources (and the TraceSet for trace-driven runs); it is filled on
- * first use and must only be reused with identical (profile, variant,
- * knobs).
- */
-struct SegmentSourceCache
-{
-    std::map<std::pair<unsigned, unsigned>,
-             std::unique_ptr<DynInstSource>>
-        sources;
-    trace::TraceSet traceSet; ///< Opened on first use
-
-    /** Instructions regenerated by StreamGenerator seeks so far
-     *  (timing-independent; the `bench --reps` regression tests
-     *  assert this stays bounded on reuse). */
-    std::uint64_t generatorReplayedInsts() const;
-
-    /** Repositioning seeks performed by all cached sources so far. */
-    std::uint64_t sourceSeeks() const;
-};
-
-/**
  * Segmented (time-parallel) counterpart of runWorkload(); called by
- * it when knobs.timeParallel >= 2. @p cache, when given, supplies and
- * retains the per-segment stream sources across repeated runs.
- * ReplayCache is unsupported (its stream transform re-indexes
+ * it when knobs.timeParallel >= 2. ReplayCache is unsupported (its stream transform re-indexes
  * instructions, breaking segment alignment) and fatal.
  */
 RunStats runWorkloadTimeParallel(const WorkloadProfile &profile,
                                  SystemVariant variant,
-                                 const ExperimentKnobs &knobs,
-                                 SegmentSourceCache *cache = nullptr);
+                                 const ExperimentKnobs &knobs);
 
 /** One named scalar's serial-vs-segmented comparison (error-bound
  *  reporting; see `ppa_cli --error-bound`). */

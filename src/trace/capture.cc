@@ -1,7 +1,6 @@
 #include "trace/capture.hh"
 
 #include "common/logging.hh"
-#include "trace/reader.hh"
 #include "workload/generator.hh"
 
 namespace ppa
@@ -9,22 +8,12 @@ namespace ppa
 namespace trace
 {
 
-namespace
-{
-
-unsigned
-effectiveThreads(const WorkloadProfile &profile, const CaptureSpec &spec)
-{
-    return spec.threads > 0 ? spec.threads : profile.defaultThreads;
-}
-
-} // namespace
-
 TraceSummary
 recordWorkloadTrace(const std::string &dir, const WorkloadProfile &profile,
                     const CaptureSpec &spec)
 {
-    unsigned threads = effectiveThreads(profile, spec);
+    unsigned threads = spec.threads > 0 ? spec.threads
+                                        : profile.defaultThreads;
     PPA_ASSERT(spec.instsPerThread > 0,
                "trace capture needs a nonzero instruction count");
 
@@ -44,37 +33,6 @@ recordWorkloadTrace(const std::string &dir, const WorkloadProfile &profile,
             writer.append(t, inst);
     }
     return writer.finish();
-}
-
-bool
-traceMatches(const std::string &dir, const WorkloadProfile &profile,
-             const CaptureSpec &spec)
-{
-    TraceSet set;
-    std::string error;
-    if (!set.load(dir, error))
-        return false;
-    const TraceMeta &meta = set.metadata();
-    return meta.app == profile.name && meta.seed == spec.seed &&
-           meta.threads == effectiveThreads(profile, spec) &&
-           meta.instsPerThread == spec.instsPerThread;
-}
-
-TraceSummary
-ensureWorkloadTrace(const std::string &dir, const WorkloadProfile &profile,
-                    const CaptureSpec &spec)
-{
-    if (traceMatches(dir, profile, spec)) {
-        TraceSet set = TraceSet::openOrDie(dir);
-        TraceSummary summary;
-        for (const ShardInfo &s : set.allShards())
-            summary.totalInsts += s.count;
-        summary.shardCount =
-            static_cast<unsigned>(set.allShards().size());
-        summary.combinedCrc = set.combinedCrc();
-        return summary;
-    }
-    return recordWorkloadTrace(dir, profile, spec);
 }
 
 } // namespace trace

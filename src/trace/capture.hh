@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace capture front end: record a StreamGenerator workload into a
- * trace directory, and reuse an existing recording when it matches.
+ * trace directory.
  */
 
 #ifndef PPA_TRACE_CAPTURE_HH
@@ -33,20 +33,6 @@ struct CaptureSpec
  * StreamGenerator per thread through the writer.
  */
 TraceSummary recordWorkloadTrace(const std::string &dir,
-                                 const WorkloadProfile &profile,
-                                 const CaptureSpec &spec);
-
-/**
- * @return true when @p dir already holds a trace whose manifest
- *         matches @p profile and @p spec exactly (same app, seed,
- *         thread count, and per-thread length), so bench/sweep runs
- *         can reuse it instead of re-recording.
- */
-bool traceMatches(const std::string &dir, const WorkloadProfile &profile,
-                  const CaptureSpec &spec);
-
-/** Record unless a matching trace already exists. */
-TraceSummary ensureWorkloadTrace(const std::string &dir,
                                  const WorkloadProfile &profile,
                                  const CaptureSpec &spec);
 

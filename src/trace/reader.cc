@@ -388,11 +388,9 @@ TraceReplaySource::seekTo(std::uint64_t index)
 {
     // Trivial seek: the consumer cursor is already there and the
     // stream is live, so discarding the prefetch queue would only
-    // force the producer to re-decode blocks it already delivered
-    // (the redundant re-seek `bench --reps` used to pay per rep).
+    // force the producer to re-decode blocks it already delivered.
     if (index == cursor && !exhausted)
         return;
-    ++seeks;
     {
         std::lock_guard<std::mutex> l(mu);
         ++gen;

@@ -90,11 +90,6 @@ class TraceReplaySource : public DynInstSource
     bool next(DynInst &out) override;
     void seekTo(std::uint64_t index) override;
 
-    /** Repositioning seeks serviced so far (trivial seeks to the
-     *  current cursor are skipped and not counted); timing-independent
-     *  cost metric for the bench --reps regression tests. */
-    std::uint64_t seekCount() const { return seeks; }
-
   private:
     /** One decoded block in flight between producer and consumer. */
     struct Buffer
@@ -114,7 +109,6 @@ class TraceReplaySource : public DynInstSource
 
     // Consumer-side cursor (only touched from the core's thread).
     std::uint64_t cursor = 0;
-    std::uint64_t seeks = 0;
     Buffer current;
     std::size_t offset = 0;
     bool haveCurrent = false;

@@ -294,12 +294,10 @@ StreamGenerator::next(DynInst &out)
 void
 StreamGenerator::seekTo(std::uint64_t index)
 {
-    // Trivial seek: already positioned there. Skipping it keeps
-    // repeated segmented runs (bench --reps source reuse) from
-    // paying — or even counting — work they do not need.
+    // Trivial seek: already positioned there, so restoring a
+    // snapshot and regenerating up to here would be wasted work.
     if (index == position)
         return;
-    ++seeks;
     if (index < position) {
         // Resume from the nearest snapshot at or below the target
         // instead of replaying the whole stream from zero (recovery
@@ -318,7 +316,6 @@ StreamGenerator::seekTo(std::uint64_t index)
         maybeSnapshot();
         scratch = generateOne();
         ++position;
-        ++replayed;
     }
 }
 

@@ -47,15 +47,6 @@ class StreamGenerator : public DynInstSource
     /** Base address of this thread's private data slice. */
     Addr privateBase() const;
 
-    /** Repositioning seeks serviced so far (trivial seeks to the
-     *  current position are skipped and not counted). */
-    std::uint64_t seekCount() const { return seeks; }
-
-    /** Instructions regenerated (not handed to the core) while
-     *  servicing seeks — the real cost metric of seekTo(), which the
-     *  timing-independent bench --reps regression tests assert on. */
-    std::uint64_t replayedInsts() const { return replayed; }
-
     /** Base address of the shared synchronization area. */
     static constexpr Addr sharedSyncBase = 0x7000'0000'0000ull;
 
@@ -120,9 +111,6 @@ class StreamGenerator : public DynInstSource
      *  k * snapshotInterval is generated. Append-only: the stream is
      *  deterministic, so entries stay valid across seeks. */
     std::vector<Snapshot> snapshots;
-
-    std::uint64_t seeks = 0;
-    std::uint64_t replayed = 0;
 };
 
 } // namespace ppa

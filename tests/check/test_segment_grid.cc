@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 #include <string>
 
 #include "sim/experiment.hh"
@@ -36,6 +37,15 @@ struct GridCase
     const char *profile;
     unsigned threads; // 0 = profile default
 };
+
+// Prints the case by value, as the classic grid does: gtest's default
+// dump of the raw bytes would show the profile name's pointer and the
+// struct's padding, which change from run to run.
+std::ostream &
+operator<<(std::ostream &os, const GridCase &c)
+{
+    return os << c.profile << "_t" << c.threads;
+}
 
 class SegmentGrid : public ::testing::TestWithParam<GridCase>
 {

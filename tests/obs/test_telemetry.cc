@@ -180,22 +180,6 @@ TEST(Telemetry, OffPathIsAdditive)
     EXPECT_EQ(json.find("telemetry"), std::string::npos);
 }
 
-TEST(Telemetry, JsonRoundTripBitwise)
-{
-    ExperimentKnobs k = telemetryKnobs();
-    k.failAtCycles = {2'000};
-    RunStats rs =
-        runWorkload(profileByName("gcc"), SystemVariant::Ppa, k);
-    ASSERT_FALSE(rs.telemetry.powerEvents.empty());
-    std::string json = metrics::runStatsToJson(rs);
-
-    metrics::JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(metrics::JsonValue::parse(json, doc, err)) << err;
-    RunStats back = metrics::runStatsFromJson(doc);
-    EXPECT_EQ(metrics::runStatsToJson(back), json);
-}
-
 TEST(Telemetry, RegionAndPowerTimelines)
 {
     ExperimentKnobs k = telemetryKnobs();

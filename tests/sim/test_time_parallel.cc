@@ -8,9 +8,8 @@
  * serial-scheduled vs parallel-scheduled execution of the same
  * segmented plan must agree bitwise, across the golden workload set
  * and with injected power failures. Also covered here: segment-plan
- * geometry edge cases, SimPoint-style sampling, trace-vs-generator
- * agreement, and the seek-count regression guard for source reuse
- * (the bench --reps fix).
+ * geometry edge cases, SimPoint-style sampling, and trace-vs-generator
+ * agreement.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include "sim/report.hh"
 #include "sim/segment.hh"
 #include "trace/capture.hh"
-#include "workload/generator.hh"
 #include "workload/profile.hh"
 
 using namespace ppa;
@@ -246,53 +244,6 @@ TEST(TimeParallel, TraceAndGeneratorRunsAgreeBitwise)
     // And the trace-driven path obeys the worker-count contract too.
     EXPECT_EQ(statsAt(p, SystemVariant::Ppa, k, 1),
               statsAt(p, SystemVariant::Ppa, k, 4));
-}
-
-TEST(TimeParallel, SourceCacheReuseBoundsSeekReplay)
-{
-    // The bench --reps regression guard, timing-independent by
-    // design: a reused StreamGenerator re-seeks from its nearest
-    // state snapshot, so the second run's regeneration cost is
-    // bounded by one snapshot interval per segment — not by the
-    // O(segment start) fast-forward fresh sources pay.
-    const WorkloadProfile &p = profileByName("gcc");
-    ExperimentKnobs k = tpKnobs(4, 20'000, 2'000);
-    k.tpWorkers = 1;
-
-    SegmentSourceCache cache;
-    RunStats first =
-        runWorkloadTimeParallel(p, SystemVariant::Ppa, k, &cache);
-    std::uint64_t afterFirst = cache.generatorReplayedInsts();
-    // First run pays the forward fast-forward to each segment's
-    // warmup start: sum of warmupBegin over segments 1..3.
-    EXPECT_GE(afterFirst, 3'000u + 8'000u + 13'000u);
-
-    RunStats second =
-        runWorkloadTimeParallel(p, SystemVariant::Ppa, k, &cache);
-    std::uint64_t secondCost =
-        cache.generatorReplayedInsts() - afterFirst;
-    EXPECT_LE(secondCost, 4 * StreamGenerator::snapshotInterval);
-    EXPECT_LT(secondCost, afterFirst);
-    // Reuse must not perturb results.
-    EXPECT_EQ(metrics::runStatsToJson(first),
-              metrics::runStatsToJson(second));
-    // Segment 0's first-run seekTo(0) on a fresh source is a trivial
-    // seek and is skipped: 3 counted seeks on run one, 4 on run two
-    // (by then every source sits at its segment end).
-    EXPECT_EQ(cache.sourceSeeks(), 7u);
-}
-
-TEST(TimeParallel, CachedAndFreshSourcesAgree)
-{
-    const WorkloadProfile &p = profileByName("mcf");
-    ExperimentKnobs k = tpKnobs(4);
-    k.tpWorkers = 2;
-    SegmentSourceCache cache;
-    RunStats cached =
-        runWorkloadTimeParallel(p, SystemVariant::Ppa, k, &cache);
-    RunStats fresh = runWorkload(p, SystemVariant::Ppa, k);
-    EXPECT_EQ(metrics::runStatsToJson(cached),
-              metrics::runStatsToJson(fresh));
 }
 
 TEST(TimeParallelDeath, ReplayCacheVariantIsRejected)

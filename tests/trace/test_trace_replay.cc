@@ -123,34 +123,6 @@ TEST(TraceReplay, SeekToMatchesGeneratorSeek)
     }
 }
 
-TEST(TraceReplay, EnsureWorkloadTraceReusesMatchingRecording)
-{
-    const std::string dir = scratchDir("reuse");
-    const auto &p = profileByName("gcc");
-    trace::CaptureSpec spec;
-    spec.seed = 11;
-    spec.instsPerThread = 2000;
-    auto first = trace::ensureWorkloadTrace(dir, p, spec);
-    auto manifest =
-        fs::path(dir) / trace::manifestFileName;
-    auto stamp = fs::last_write_time(manifest);
-
-    // Matching spec: reused, not re-recorded.
-    EXPECT_TRUE(trace::traceMatches(dir, p, spec));
-    auto again = trace::ensureWorkloadTrace(dir, p, spec);
-    EXPECT_EQ(again.combinedCrc, first.combinedCrc);
-    EXPECT_EQ(fs::last_write_time(manifest), stamp);
-
-    // Any identity change invalidates the match.
-    trace::CaptureSpec other = spec;
-    other.seed = 12;
-    EXPECT_FALSE(trace::traceMatches(dir, p, other));
-    other = spec;
-    other.instsPerThread = 2001;
-    EXPECT_FALSE(trace::traceMatches(dir, p, other));
-    EXPECT_FALSE(trace::traceMatches(dir, profileByName("mcf"), spec));
-}
-
 TEST(TraceReplay, VerifyDetectsCorruptionTruncationAndMissingShard)
 {
     const std::string dir = scratchDir("verify");

@@ -49,6 +49,37 @@ CASES = [
     # cycle 0 is valid (exactly at the segment join); negatives are not.
     (["run", "--app", "gcc", "--time-parallel", "2",
       "--tp-fail", "2:-1"], "--tp-fail cycle wants an unsigned integer"),
+    # run numerics: garbage used to parse as 0 (an unbounded run for
+    # --insts), trailing garbage was dropped, and negative reals passed.
+    (["run", "--app", "gcc", "--insts", "abc"],
+     "--insts wants an unsigned integer"),
+    (["run", "--app", "gcc", "--insts", "0"], "--insts must be positive"),
+    (["run", "--app", "gcc", "--wpq", "4x"],
+     "--wpq wants an unsigned integer"),
+    (["run", "--app", "gcc", "--csq", "0"], "--csq must be positive"),
+    (["run", "--app", "gcc", "--threads", "-1"],
+     "--threads wants an unsigned integer"),
+    (["run", "--app", "gcc", "--bw", "abc"],
+     "--bw wants a non-negative number"),
+    (["run", "--app", "gcc", "--bw", "-1"],
+     "--bw wants a non-negative number"),
+    (["run", "--app", "gcc", "--bw", "0"], "--bw must be positive"),
+    (["run", "--app", "gcc", "--seed", "7x"],
+     "--seed wants an unsigned integer"),
+    (["run", "--app", "gcc", "--time-parallel", "two"],
+     "--time-parallel wants an unsigned integer"),
+    (["run", "--app", "gcc", "--time-parallel", "2", "--sampled", "0"],
+     "--sampled must be positive"),
+    (["run", "--app", "gcc", "--telemetry-sample", "0"],
+     "--telemetry-sample must be positive"),
+    # profile and trace numerics share the same parser.
+    (["profile", "gcc", "--insts", "12x"],
+     "--insts wants an unsigned integer"),
+    (["trace", "record", "--app", "gcc", "--out",
+      "/nonexistent/ppa-trace", "--insts", "0"],
+     "--insts must be positive"),
+    (["trace", "cat", "/nonexistent/ppa-trace", "--limit", "x"],
+     "--limit wants an unsigned integer"),
     # sweep numerics: trailing garbage must not be coerced.
     (["sweep", "fig11", "--jobs", "4x"], "--jobs wants an unsigned integer"),
     (["sweep", "fig11", "--insts", "abc"],
@@ -86,13 +117,16 @@ CASES = [
 
 
 def run_case(cli, argv, needle):
-    proc = subprocess.run(
-        [cli] + argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        timeout=60,
-    )
+    try:
+        proc = subprocess.run(
+            [cli] + argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        return f"{' '.join(argv)}: still running after 60 s"
     if proc.returncode == 0:
         return f"{' '.join(argv)}: expected nonzero exit, got 0"
     if needle not in proc.stdout:

@@ -22,7 +22,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -44,10 +43,6 @@
 #include "sim/report.hh"
 #include "trace/capture.hh"
 #include "trace/reader.hh"
-
-#ifndef PPA_SOURCE_DIR
-#define PPA_SOURCE_DIR "."
-#endif
 
 using namespace ppa;
 
@@ -194,48 +189,6 @@ usageSweep()
 }
 
 void
-usageBench()
-{
-    std::printf(
-        "subcommand: bench — host-throughput benchmark (simulated "
-        "KIPS)\n"
-        "  ppa_cli bench [options]\n"
-        "  --jobs N            driver worker threads (default: "
-        "hardware)\n"
-        "  --insts N           committed instructions per core "
-        "(default 60000)\n"
-        "  --seed N            workload seed (default 42)\n"
-        "  --reps N            repeat the grid N times, keep each "
-        "job's best wall time (default 1)\n"
-        "  --out DIR           output directory for "
-        "BENCH_throughput.json (default: $PPA_RESULTS_DIR or "
-        "results)\n"
-        "  --baseline FILE     compare aggregate KIPS against a prior "
-        "BENCH_throughput.json\n"
-        "                      (relative paths resolve against the "
-        "CWD, then the repo root)\n"
-        "  --threshold PCT     fail when aggregate KIPS regresses "
-        "more than PCT%% vs the baseline (default 15)\n"
-        "  --trace DIR         run the grid trace-driven: record (or "
-        "reuse) one trace per\n"
-        "                      app under DIR and replay instead of "
-        "generating\n"
-        "  --time-parallel K   also time one long single-app run "
-        "serial vs split into K\n"
-        "                      segments, reusing seeked sources across "
-        "reps; records\n"
-        "                      tpSerialKips/tpKips/tpSpeedup in the "
-        "JSON extras and gates\n"
-        "                      tpSpeedup against the baseline when it "
-        "records one\n"
-        "  --telemetry         also time one gcc/ppa run with and "
-        "without telemetry,\n"
-        "                      record telemetryOverheadPct in the JSON "
-        "extras, and fail\n"
-        "                      when the overhead exceeds 5%%\n");
-}
-
-void
 usageLitmus()
 {
     std::printf(
@@ -357,7 +310,7 @@ usage()
 {
     std::printf(
         "usage: ppa_cli [SUBCOMMAND] [options]\n"
-        "subcommands: run (default), sweep, bench, trace, profile, "
+        "subcommands: run (default), sweep, trace, profile, "
         "litmus, fuzz, serve\n"
         "flags are grouped by the subcommand they belong to:\n"
         "\n");
@@ -368,8 +321,6 @@ usage()
     usageTrace();
     std::printf("\n");
     usageSweep();
-    std::printf("\n");
-    usageBench();
     std::printf("\n");
     usageLitmus();
     std::printf("\n");
@@ -439,6 +390,22 @@ parsePositiveCount(const char *flag, const char *text)
 {
     std::uint64_t v = parseCount(flag, text);
     if (v == 0) {
+        std::fprintf(stderr,
+                     "%s must be positive, got '%s' (see ppa_cli "
+                     "--help)\n",
+                     flag, text);
+        std::exit(1);
+    }
+    return v;
+}
+
+/** Like parseNonNegDouble, but zero is rejected too (a zero rate,
+ *  such as NVM write bandwidth, makes every service time infinite). */
+double
+parsePositiveDouble(const char *flag, const char *text)
+{
+    double v = parseNonNegDouble(flag, text);
+    if (v == 0.0) {
         std::fprintf(stderr,
                      "%s must be positive, got '%s' (see ppa_cli "
                      "--help)\n",
@@ -617,17 +584,17 @@ traceRecordMain(int argc, char **argv)
         } else if (arg == "--out") {
             out = next();
         } else if (arg == "--insts") {
-            spec.instsPerThread = std::strtoull(next(), nullptr, 10);
+            spec.instsPerThread = parsePositiveCount("--insts", next());
         } else if (arg == "--seed") {
-            spec.seed = std::strtoull(next(), nullptr, 10);
+            spec.seed = parseCount("--seed", next());
         } else if (arg == "--threads") {
             spec.threads =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+                static_cast<unsigned>(parseCount("--threads", next()));
         } else if (arg == "--shard-insts") {
-            spec.shardInsts = std::strtoull(next(), nullptr, 10);
+            spec.shardInsts = parsePositiveCount("--shard-insts", next());
         } else if (arg == "--block-insts") {
-            spec.blockInsts =
-                static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+            spec.blockInsts = static_cast<std::uint32_t>(
+                parsePositiveCount("--block-insts", next()));
         } else {
             std::fprintf(stderr, "unknown trace record option '%s'\n",
                          arg.c_str());
@@ -695,12 +662,11 @@ traceCatMain(const std::string &dir, int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--thread") {
-            thread =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            thread = static_cast<unsigned>(parseCount("--thread", next()));
         } else if (arg == "--limit") {
-            limit = std::strtoull(next(), nullptr, 10);
+            limit = parseCount("--limit", next());
         } else if (arg == "--start") {
-            start = std::strtoull(next(), nullptr, 10);
+            start = parseCount("--start", next());
         } else {
             std::fprintf(stderr, "unknown trace cat option '%s'\n",
                          arg.c_str());
@@ -799,380 +765,6 @@ traceMain(int argc, char **argv)
         return traceVerifyMain(dir);
     std::fprintf(stderr, "unknown trace subcommand '%s'\n", cmd.c_str());
     return 1;
-}
-
-/**
- * Resolve the bench --baseline path: absolute paths and paths that
- * exist relative to the CWD are taken as-is; other relative paths
- * resolve against the repo root, so `ppa_cli bench --baseline
- * bench/throughput_baseline.json` works from any directory.
- */
-std::string
-resolveBaselinePath(const std::string &path)
-{
-    std::filesystem::path p(path);
-    if (p.is_absolute() || std::filesystem::exists(p))
-        return path;
-    return std::string(PPA_SOURCE_DIR) + "/" + path;
-}
-
-/** Aggregate simulated kilo-instructions per host-second across a
- *  result set: total committed work over total per-job wall time. */
-double
-aggregateKips(const std::vector<JobResult> &results)
-{
-    double insts = 0.0;
-    double wall = 0.0;
-    for (const JobResult &r : results) {
-        insts += static_cast<double>(r.stats.committedInsts);
-        wall += r.wallSeconds;
-    }
-    return wall > 0.0 ? insts / wall / 1e3 : 0.0;
-}
-
-int
-benchMain(int argc, char **argv)
-{
-    unsigned jobs = 0;
-    std::uint64_t insts = 0;
-    std::uint64_t seed = 42;
-    unsigned reps = 1;
-    unsigned timeParallel = 0;
-    bool telemetry = false;
-    std::string outDir = metrics::resultsDir();
-    std::string baselinePath;
-    std::string traceRoot;
-    double thresholdPct = 15.0;
-
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--reps") {
-            reps = std::max(
-                1u, static_cast<unsigned>(
-                        std::strtoul(next(), nullptr, 10)));
-        } else if (arg == "--out") {
-            outDir = next();
-        } else if (arg == "--baseline") {
-            baselinePath = next();
-        } else if (arg == "--trace") {
-            traceRoot = next();
-        } else if (arg == "--time-parallel") {
-            timeParallel = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--telemetry") {
-            telemetry = true;
-        } else if (arg == "--threshold") {
-            thresholdPct = std::strtod(next(), nullptr);
-        } else if (arg == "--help" || arg == "-h") {
-            usageBench();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown bench option '%s'\n",
-                         arg.c_str());
-            usageBench();
-            return 1;
-        }
-    }
-
-    // Fail fast on a bad baseline path: a typo must not cost a full
-    // bench run before it is reported.
-    std::string resolvedBaseline;
-    if (!baselinePath.empty()) {
-        resolvedBaseline = resolveBaselinePath(baselinePath);
-        if (!std::filesystem::exists(resolvedBaseline)) {
-            std::fprintf(stderr,
-                         "bench: baseline file '%s' not found (tried "
-                         "'%s'; relative paths resolve against the "
-                         "CWD, then the repo root)\n",
-                         baselinePath.c_str(),
-                         resolvedBaseline.c_str());
-            return 1;
-        }
-    }
-
-    FigureSweep fs = throughputSweep(insts, seed);
-    if (!traceRoot.empty()) {
-        // Trace-driven bench: one recording per app feeds all its
-        // variant jobs; matching traces from an earlier run are
-        // reused, so only the first run pays the capture cost.
-        for (SweepJob &job : fs.jobs) {
-            trace::CaptureSpec spec;
-            spec.seed = job.knobs.seed;
-            spec.threads = job.knobs.threads;
-            spec.instsPerThread = job.knobs.instsPerCore;
-            std::string dir = traceRoot + "/" + job.profile.name;
-            trace::ensureWorkloadTrace(dir, job.profile, spec);
-            job.knobs.traceDir = dir;
-        }
-        std::fprintf(stderr, "bench: trace-driven from %s\n",
-                     traceRoot.c_str());
-    }
-    ExperimentDriver driver(jobs);
-    std::fprintf(stderr,
-                 "bench: %zu jobs x %u rep(s) on %u threads — %s\n",
-                 fs.jobs.size(), reps, driver.workers(),
-                 fs.description.c_str());
-
-    // Repetitions re-run the identical grid; each job keeps its best
-    // (minimum) wall time, which is the standard defense against
-    // scheduling noise on a shared host. Simulation results are
-    // deterministic, so only the timing differs between reps.
-    std::vector<JobResult> results;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        auto repResults = driver.run(fs.jobs, {});
-        if (rep == 0) {
-            results = std::move(repResults);
-            continue;
-        }
-        for (std::size_t j = 0; j < results.size(); ++j)
-            results[j].wallSeconds = std::min(
-                results[j].wallSeconds, repResults[j].wallSeconds);
-    }
-
-    TextTable t({"workload", "variant", "insts", "wall ms", "KIPS"});
-    double logSum = 0.0;
-    for (const JobResult &r : results) {
-        double kips =
-            r.wallSeconds > 0.0
-                ? static_cast<double>(r.stats.committedInsts) /
-                      r.wallSeconds / 1e3
-                : 0.0;
-        logSum += std::log(std::max(kips, 1e-9));
-        t.addRow({r.job.profile.name, variantToken(r.job.variant),
-                  std::to_string(r.stats.committedInsts),
-                  TextTable::num(r.wallSeconds * 1e3, 2),
-                  TextTable::num(kips, 1)});
-    }
-    std::printf("%s", t.render().c_str());
-
-    double agg = aggregateKips(results);
-    double geomean =
-        results.empty()
-            ? 0.0
-            : std::exp(logSum / static_cast<double>(results.size()));
-    std::printf("aggregate: %.1f KIPS   per-job geomean: %.1f KIPS\n",
-                agg, geomean);
-
-    // Single-app time-parallel series: one long run, serial vs split
-    // into K segments. The speedup is a within-host ratio, so it is
-    // comparable across machines in a way raw KIPS is not — that is
-    // what the baseline gate checks below.
-    double tpSerialKips = 0.0;
-    double tpKips = 0.0;
-    double tpSpeedup = 0.0;
-    if (timeParallel >= 2) {
-        const WorkloadProfile &profile = profileByName("gcc");
-        ExperimentKnobs serialKnobs;
-        serialKnobs.seed = seed;
-        // The long run is 4x the grid's per-job budget: segment
-        // overlap only pays off once per-segment work dominates
-        // per-segment system construction and warmup.
-        serialKnobs.instsPerCore = insts ? insts * 4 : 240'000;
-        ExperimentKnobs segKnobs = serialKnobs;
-        segKnobs.timeParallel = timeParallel;
-        std::fprintf(stderr,
-                     "bench: time-parallel series — gcc/ppa, %llu "
-                     "insts, %u segment(s)\n",
-                     static_cast<unsigned long long>(
-                         serialKnobs.instsPerCore),
-                     timeParallel);
-        SegmentSourceCache cache;
-        double serialBest = 0.0;
-        double tpBest = 0.0;
-        RunStats serialStats;
-        RunStats tpStats;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            serialStats =
-                runWorkload(profile, SystemVariant::Ppa, serialKnobs);
-            auto t1 = std::chrono::steady_clock::now();
-            tpStats = runWorkloadTimeParallel(
-                profile, SystemVariant::Ppa, segKnobs, &cache);
-            auto t2 = std::chrono::steady_clock::now();
-            double serialWall =
-                std::chrono::duration<double>(t1 - t0).count();
-            double tpWall =
-                std::chrono::duration<double>(t2 - t1).count();
-            if (rep == 0 || serialWall < serialBest)
-                serialBest = serialWall;
-            if (rep == 0 || tpWall < tpBest)
-                tpBest = tpWall;
-        }
-        tpSerialKips =
-            serialBest > 0.0
-                ? static_cast<double>(serialStats.committedInsts) /
-                      serialBest / 1e3
-                : 0.0;
-        tpKips = tpBest > 0.0
-                     ? static_cast<double>(tpStats.committedInsts) /
-                           tpBest / 1e3
-                     : 0.0;
-        tpSpeedup = tpBest > 0.0 ? serialBest / tpBest : 0.0;
-        std::printf("time-parallel: serial %.1f KIPS, %u segments "
-                    "%.1f KIPS — %.2fx speedup\n",
-                    tpSerialKips, timeParallel, tpKips, tpSpeedup);
-        std::printf("time-parallel: %llu insts re-generated by source "
-                    "seeks across %u rep(s) (cache reuse)\n",
-                    static_cast<unsigned long long>(
-                        cache.generatorReplayedInsts()),
-                    reps);
-    }
-
-    // Telemetry overhead series: one gcc/ppa run timed with the
-    // collector off and on. The docs/TELEMETRY.md overhead contract
-    // says the *enabled* collector costs < 5%; the null path is
-    // covered by the ordinary aggregate-KIPS gate above because every
-    // grid job runs with telemetry off.
-    double telemetryOverheadPct = 0.0;
-    if (telemetry) {
-        const WorkloadProfile &profile = profileByName("gcc");
-        ExperimentKnobs offKnobs;
-        offKnobs.seed = seed;
-        offKnobs.instsPerCore = insts ? insts : 60'000;
-        ExperimentKnobs onKnobs = offKnobs;
-        onKnobs.telemetry = true;
-        std::fprintf(stderr,
-                     "bench: telemetry overhead series — gcc/ppa, "
-                     "%llu insts\n",
-                     static_cast<unsigned long long>(
-                         offKnobs.instsPerCore));
-        double offBest = 0.0;
-        double onBest = 0.0;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            runWorkload(profile, SystemVariant::Ppa, offKnobs);
-            auto t1 = std::chrono::steady_clock::now();
-            runWorkload(profile, SystemVariant::Ppa, onKnobs);
-            auto t2 = std::chrono::steady_clock::now();
-            double offWall =
-                std::chrono::duration<double>(t1 - t0).count();
-            double onWall =
-                std::chrono::duration<double>(t2 - t1).count();
-            if (rep == 0 || offWall < offBest)
-                offBest = offWall;
-            if (rep == 0 || onWall < onBest)
-                onBest = onWall;
-        }
-        telemetryOverheadPct =
-            offBest > 0.0 ? (onBest / offBest - 1.0) * 100.0 : 0.0;
-        std::printf("telemetry: off %.2f ms, on %.2f ms — %.1f%% "
-                    "overhead\n",
-                    offBest * 1e3, onBest * 1e3, telemetryOverheadPct);
-    }
-
-    std::vector<std::pair<std::string, double>> extra = {
-        {"aggregateKips", agg},
-        {"geomeanKips", geomean},
-        {"reps", static_cast<double>(reps)},
-        {"workers", static_cast<double>(driver.workers())}};
-    if (telemetry)
-        extra.emplace_back("telemetryOverheadPct", telemetryOverheadPct);
-    if (timeParallel >= 2) {
-        extra.emplace_back("tpSegments",
-                           static_cast<double>(timeParallel));
-        extra.emplace_back("tpSerialKips", tpSerialKips);
-        extra.emplace_back("tpKips", tpKips);
-        extra.emplace_back("tpSpeedup", tpSpeedup);
-    }
-    std::string jsonPath = outDir + "/BENCH_throughput.json";
-    if (!metrics::writeFile(jsonPath,
-                            metrics::sweepToJson(fs.name, results,
-                                                 extra)))
-        return 1;
-    std::printf("wrote %s (%zu jobs)\n", jsonPath.c_str(),
-                results.size());
-
-    // Absolute telemetry-overhead gate (no baseline needed: the
-    // contract is a fixed 5% bound, not a regression ratio).
-    if (telemetry && telemetryOverheadPct > 5.0) {
-        std::fprintf(stderr,
-                     "bench: FAIL — telemetry overhead %.1f%% exceeds "
-                     "the 5%% contract\n",
-                     telemetryOverheadPct);
-        return 1;
-    }
-
-    if (baselinePath.empty())
-        return 0;
-
-    // Regression gate: recompute the baseline aggregate from its job
-    // list (rather than trusting its "extra" block) so hand-edited or
-    // older documents still compare apples to apples.
-    const std::string &resolved = resolvedBaseline;
-    std::string text;
-    if (!metrics::readFile(resolved, text))
-        return 1;
-    metrics::JsonValue doc;
-    std::string err;
-    if (!metrics::JsonValue::parse(text, doc, err)) {
-        std::fprintf(stderr, "bench: cannot parse baseline %s: %s\n",
-                     resolved.c_str(), err.c_str());
-        return 1;
-    }
-    double baseInsts = 0.0;
-    double baseWall = 0.0;
-    const auto &baseJobs = doc.field("jobs");
-    for (std::size_t j = 0; j < baseJobs.size(); ++j) {
-        const auto &job = baseJobs.at(j);
-        baseInsts += static_cast<double>(
-            job.field("stats").field("committedInsts").asUint64());
-        baseWall += job.field("wallSeconds").asDouble();
-    }
-    double baseAgg = baseWall > 0.0 ? baseInsts / baseWall / 1e3 : 0.0;
-    if (baseAgg <= 0.0) {
-        std::fprintf(stderr, "bench: baseline %s has no timed jobs\n",
-                     resolved.c_str());
-        return 1;
-    }
-    double ratio = agg / baseAgg;
-    std::printf("baseline: %.1f KIPS (%s) — current/baseline %.2fx\n",
-                baseAgg, resolved.c_str(), ratio);
-    if (ratio < 1.0 - thresholdPct / 100.0) {
-        std::fprintf(stderr,
-                     "bench: FAIL — aggregate KIPS regressed %.1f%% "
-                     "(threshold %.1f%%)\n",
-                     (1.0 - ratio) * 100.0, thresholdPct);
-        return 1;
-    }
-    // Time-parallel speedup gate: a within-host ratio, so it survives
-    // machine changes that shift raw KIPS. Only enforced when both
-    // this run and the baseline measured it.
-    if (tpSpeedup > 0.0 && doc.hasField("extra") &&
-        doc.field("extra").hasField("tpSpeedup")) {
-        double baseSpeedup =
-            doc.field("extra").field("tpSpeedup").asDouble();
-        if (baseSpeedup > 0.0) {
-            double spRatio = tpSpeedup / baseSpeedup;
-            std::printf("baseline tpSpeedup: %.2fx — "
-                        "current/baseline %.2fx\n",
-                        baseSpeedup, spRatio);
-            if (spRatio < 1.0 - thresholdPct / 100.0) {
-                std::fprintf(stderr,
-                             "bench: FAIL — time-parallel speedup "
-                             "regressed %.1f%% (threshold %.1f%%)\n",
-                             (1.0 - spRatio) * 100.0, thresholdPct);
-                return 1;
-            }
-        }
-    }
-    std::printf("bench: OK (within %.1f%% of baseline)\n",
-                thresholdPct);
-    return 0;
 }
 
 void
@@ -1368,15 +960,15 @@ profileMain(int argc, char **argv)
         if (arg == "--variant") {
             variant_name = next();
         } else if (arg == "--insts") {
-            knobs.instsPerCore = std::strtoull(next(), nullptr, 10);
+            knobs.instsPerCore = parsePositiveCount("--insts", next());
         } else if (arg == "--threads") {
-            knobs.threads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            knobs.threads =
+                static_cast<unsigned>(parseCount("--threads", next()));
         } else if (arg == "--seed") {
-            knobs.seed = std::strtoull(next(), nullptr, 10);
+            knobs.seed = parseCount("--seed", next());
         } else if (arg == "--telemetry-sample") {
             knobs.telemetrySampleCycles =
-                std::strtoull(next(), nullptr, 10);
+                parsePositiveCount("--telemetry-sample", next());
         } else if (arg == "--telemetry-trace") {
             tracePath = next();
         } else if (arg == "--json") {
@@ -2039,8 +1631,6 @@ main(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
         return sweepMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "bench") == 0)
-        return benchMain(argc - 2, argv + 2);
     if (argc > 1 && std::strcmp(argv[1], "trace") == 0)
         return traceMain(argc - 2, argv + 2);
     if (argc > 1 && std::strcmp(argv[1], "profile") == 0)
@@ -2095,29 +1685,29 @@ main(int argc, char **argv)
         } else if (arg == "--variant") {
             variant_name = next();
         } else if (arg == "--insts") {
-            knobs.instsPerCore = std::strtoull(next(), nullptr, 10);
+            knobs.instsPerCore = parsePositiveCount("--insts", next());
             instsGiven = true;
         } else if (arg == "--threads") {
             knobs.threads =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+                static_cast<unsigned>(parseCount("--threads", next()));
         } else if (arg == "--csq") {
             knobs.csqEntries =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+                static_cast<unsigned>(parsePositiveCount("--csq", next()));
         } else if (arg == "--int-prf") {
-            knobs.intPrf =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            knobs.intPrf = static_cast<unsigned>(
+                parsePositiveCount("--int-prf", next()));
         } else if (arg == "--fp-prf") {
-            knobs.fpPrf =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            knobs.fpPrf = static_cast<unsigned>(
+                parsePositiveCount("--fp-prf", next()));
         } else if (arg == "--wpq") {
             knobs.wpqEntries =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+                static_cast<unsigned>(parsePositiveCount("--wpq", next()));
         } else if (arg == "--bw") {
-            knobs.nvmWriteGbps = std::strtod(next(), nullptr);
+            knobs.nvmWriteGbps = parsePositiveDouble("--bw", next());
         } else if (arg == "--l3") {
             knobs.l3Cache = true;
         } else if (arg == "--seed") {
-            knobs.seed = std::strtoull(next(), nullptr, 10);
+            knobs.seed = parseCount("--seed", next());
         } else if (arg == "--compare") {
             compare = true;
         } else if (arg == "--audit") {
@@ -2129,15 +1719,15 @@ main(int argc, char **argv)
             knobs.traceDir = next();
         } else if (arg == "--time-parallel") {
             knobs.timeParallel = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                parseCount("--time-parallel", next()));
         } else if (arg == "--warmup-insts") {
-            knobs.tpWarmupInsts = std::strtoull(next(), nullptr, 10);
+            knobs.tpWarmupInsts = parseCount("--warmup-insts", next());
         } else if (arg == "--sampled") {
             knobs.tpSampleStride = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                parsePositiveCount("--sampled", next()));
         } else if (arg == "--tp-workers") {
             knobs.tpWorkers = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                parseCount("--tp-workers", next()));
         } else if (arg == "--tp-fail") {
             const std::string spec = next();
             auto colon = spec.find(':');
@@ -2158,7 +1748,7 @@ main(int argc, char **argv)
             knobs.telemetry = true;
         } else if (arg == "--telemetry-sample") {
             knobs.telemetrySampleCycles =
-                std::strtoull(next(), nullptr, 10);
+                parsePositiveCount("--telemetry-sample", next());
             knobs.telemetry = true;
         } else if (arg == "--telemetry-trace") {
             telemetryTracePath = next();
