@@ -57,6 +57,9 @@ CASES = [
     (["run", "--app", "gcc", "--wpq", "4x"],
      "--wpq wants an unsigned integer"),
     (["run", "--app", "gcc", "--csq", "0"], "--csq must be positive"),
+    # a value above UINT_MAX must not wrap to 0 past that check.
+    (["run", "--app", "gcc", "--csq", "4294967296"],
+     "--csq is out of range"),
     (["run", "--app", "gcc", "--threads", "-1"],
      "--threads wants an unsigned integer"),
     (["run", "--app", "gcc", "--bw", "abc"],

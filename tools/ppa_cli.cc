@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "check/litmus.hh"
@@ -399,6 +400,36 @@ parsePositiveCount(const char *flag, const char *text)
     return v;
 }
 
+/** Narrow a parsed count to the unsigned a flag is stored in; a value
+ *  above UINT_MAX is an error rather than silently truncated (so
+ *  4294967296 cannot wrap to 0 past the positivity check). */
+unsigned
+toUnsigned(const char *flag, const char *text, std::uint64_t v)
+{
+    if (v > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr,
+                     "%s is out of range, got '%s' (at most %u; see "
+                     "ppa_cli --help)\n",
+                     flag, text, std::numeric_limits<unsigned>::max());
+        std::exit(1);
+    }
+    return static_cast<unsigned>(v);
+}
+
+/** parseCount for a flag stored in an unsigned. */
+unsigned
+parseUnsigned(const char *flag, const char *text)
+{
+    return toUnsigned(flag, text, parseCount(flag, text));
+}
+
+/** parsePositiveCount for a flag stored in an unsigned. */
+unsigned
+parsePositiveUnsigned(const char *flag, const char *text)
+{
+    return toUnsigned(flag, text, parsePositiveCount(flag, text));
+}
+
 /** Like parseNonNegDouble, but zero is rejected too (a zero rate,
  *  such as NVM write bandwidth, makes every service time infinite). */
 double
@@ -447,7 +478,7 @@ sweepMain(int argc, char **argv)
             std::printf("%s", t.render().c_str());
             return 0;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(parseCount("--jobs", next()));
+            jobs = parseUnsigned("--jobs", next());
         } else if (arg == "--insts") {
             insts = parseCount("--insts", next());
         } else if (arg == "--seed") {
@@ -588,13 +619,11 @@ traceRecordMain(int argc, char **argv)
         } else if (arg == "--seed") {
             spec.seed = parseCount("--seed", next());
         } else if (arg == "--threads") {
-            spec.threads =
-                static_cast<unsigned>(parseCount("--threads", next()));
+            spec.threads = parseUnsigned("--threads", next());
         } else if (arg == "--shard-insts") {
             spec.shardInsts = parsePositiveCount("--shard-insts", next());
         } else if (arg == "--block-insts") {
-            spec.blockInsts = static_cast<std::uint32_t>(
-                parsePositiveCount("--block-insts", next()));
+            spec.blockInsts = parsePositiveUnsigned("--block-insts", next());
         } else {
             std::fprintf(stderr, "unknown trace record option '%s'\n",
                          arg.c_str());
@@ -662,7 +691,7 @@ traceCatMain(const std::string &dir, int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--thread") {
-            thread = static_cast<unsigned>(parseCount("--thread", next()));
+            thread = parseUnsigned("--thread", next());
         } else if (arg == "--limit") {
             limit = parseCount("--limit", next());
         } else if (arg == "--start") {
@@ -962,8 +991,7 @@ profileMain(int argc, char **argv)
         } else if (arg == "--insts") {
             knobs.instsPerCore = parsePositiveCount("--insts", next());
         } else if (arg == "--threads") {
-            knobs.threads =
-                static_cast<unsigned>(parseCount("--threads", next()));
+            knobs.threads = parseUnsigned("--threads", next());
         } else if (arg == "--seed") {
             knobs.seed = parseCount("--seed", next());
         } else if (arg == "--telemetry-sample") {
@@ -1091,8 +1119,7 @@ litmusMain(int argc, char **argv)
         } else if (arg == "--variant") {
             opts.variant = parseVariant(next());
         } else if (arg == "--schedules") {
-            opts.schedules = static_cast<unsigned>(
-                parsePositiveCount("--schedules", next()));
+            opts.schedules = parsePositiveUnsigned("--schedules", next());
         } else if (arg == "--seed") {
             opts.seed = parseCount("--seed", next());
         } else if (arg == "--json") {
@@ -1316,13 +1343,11 @@ fuzzMain(int argc, char **argv)
         } else if (arg == "--programs") {
             opts.programs = parsePositiveCount("--programs", next());
         } else if (arg == "--schedules") {
-            opts.schedules = static_cast<unsigned>(
-                parsePositiveCount("--schedules", next()));
+            opts.schedules = parsePositiveUnsigned("--schedules", next());
         } else if (arg == "--seed") {
             opts.seed = parseCount("--seed", next());
         } else if (arg == "--max-findings") {
-            opts.maxFindings = static_cast<unsigned>(
-                parseCount("--max-findings", next()));
+            opts.maxFindings = parseUnsigned("--max-findings", next());
         } else if (arg == "--corpus-out") {
             opts.corpusDir = next();
         } else if (arg == "--trace-out") {
@@ -1449,15 +1474,13 @@ serveMain(int argc, char **argv)
         } else if (arg == "--ops") {
             cfg.requests = parsePositiveCount("--ops", next());
         } else if (arg == "--threads") {
-            cfg.threads = static_cast<unsigned>(
-                parsePositiveCount("--threads", next()));
+            cfg.threads = parsePositiveUnsigned("--threads", next());
         } else if (arg == "--keys") {
             cfg.keys = parsePositiveCount("--keys", next());
         } else if (arg == "--skew") {
             cfg.skew = parseNonNegDouble("--skew", next());
         } else if (arg == "--read-pct") {
-            cfg.readPct = static_cast<unsigned>(
-                parseCount("--read-pct", next()));
+            cfg.readPct = parseUnsigned("--read-pct", next());
         } else if (arg == "--arrival") {
             const char *tok = next();
             if (!serve::arrivalFromToken(tok, cfg.arrival.kind)) {
@@ -1480,13 +1503,11 @@ serveMain(int argc, char **argv)
             cfg.arrival.onFraction =
                 parseNonNegDouble("--on-fraction", next());
         } else if (arg == "--failures") {
-            cfg.failures = static_cast<unsigned>(
-                parseCount("--failures", next()));
+            cfg.failures = parseUnsigned("--failures", next());
         } else if (arg == "--seed") {
             cfg.seed = parseCount("--seed", next());
         } else if (arg == "--workers") {
-            cfg.workers = static_cast<unsigned>(
-                parseCount("--workers", next()));
+            cfg.workers = parseUnsigned("--workers", next());
         } else if (arg == "--json") {
             jsonPath = next();
         } else if (arg == "--telemetry") {
@@ -1688,20 +1709,15 @@ main(int argc, char **argv)
             knobs.instsPerCore = parsePositiveCount("--insts", next());
             instsGiven = true;
         } else if (arg == "--threads") {
-            knobs.threads =
-                static_cast<unsigned>(parseCount("--threads", next()));
+            knobs.threads = parseUnsigned("--threads", next());
         } else if (arg == "--csq") {
-            knobs.csqEntries =
-                static_cast<unsigned>(parsePositiveCount("--csq", next()));
+            knobs.csqEntries = parsePositiveUnsigned("--csq", next());
         } else if (arg == "--int-prf") {
-            knobs.intPrf = static_cast<unsigned>(
-                parsePositiveCount("--int-prf", next()));
+            knobs.intPrf = parsePositiveUnsigned("--int-prf", next());
         } else if (arg == "--fp-prf") {
-            knobs.fpPrf = static_cast<unsigned>(
-                parsePositiveCount("--fp-prf", next()));
+            knobs.fpPrf = parsePositiveUnsigned("--fp-prf", next());
         } else if (arg == "--wpq") {
-            knobs.wpqEntries =
-                static_cast<unsigned>(parsePositiveCount("--wpq", next()));
+            knobs.wpqEntries = parsePositiveUnsigned("--wpq", next());
         } else if (arg == "--bw") {
             knobs.nvmWriteGbps = parsePositiveDouble("--bw", next());
         } else if (arg == "--l3") {
@@ -1718,16 +1734,13 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             knobs.traceDir = next();
         } else if (arg == "--time-parallel") {
-            knobs.timeParallel = static_cast<unsigned>(
-                parseCount("--time-parallel", next()));
+            knobs.timeParallel = parseUnsigned("--time-parallel", next());
         } else if (arg == "--warmup-insts") {
             knobs.tpWarmupInsts = parseCount("--warmup-insts", next());
         } else if (arg == "--sampled") {
-            knobs.tpSampleStride = static_cast<unsigned>(
-                parsePositiveCount("--sampled", next()));
+            knobs.tpSampleStride = parsePositiveUnsigned("--sampled", next());
         } else if (arg == "--tp-workers") {
-            knobs.tpWorkers = static_cast<unsigned>(
-                parseCount("--tp-workers", next()));
+            knobs.tpWorkers = parseUnsigned("--tp-workers", next());
         } else if (arg == "--tp-fail") {
             const std::string spec = next();
             auto colon = spec.find(':');
@@ -1739,8 +1752,8 @@ main(int argc, char **argv)
                 return 1;
             }
             ExperimentKnobs::SegmentFailure f;
-            f.segment = static_cast<unsigned>(parseCount(
-                "--tp-fail segment", spec.substr(0, colon).c_str()));
+            f.segment = parseUnsigned(
+                "--tp-fail segment", spec.substr(0, colon).c_str());
             f.cycle = parseCount("--tp-fail cycle",
                                  spec.substr(colon + 1).c_str());
             knobs.tpFailAt.push_back(f);
