@@ -89,19 +89,19 @@ class Histogram
     explicit Histogram(std::size_t max_value) : bins(max_value + 1, 0) {}
 
     /**
-     * Record one observation of @p v. Values above maxValue() are
+     * Record @p n observations of @p v. Values above maxValue() are
      * counted as overflow, not folded into the top bin.
      */
     void
-    sample(std::size_t v)
+    sample(std::size_t v, std::uint64_t n = 1)
     {
         PPA_ASSERT(!bins.empty(), "histogram not sized");
         if (v >= bins.size()) {
-            ++overflow;
+            overflow += n;
             return;
         }
-        ++bins[v];
-        ++total;
+        bins[v] += n;
+        total += n;
     }
 
     /** Number of in-range observations. */

@@ -256,6 +256,8 @@ Core::fetchStage()
         return;
     }
 
+    if (fetchQueue.size() < cfg.fetchQueueEntries)
+        ++activity; // the loop below pulls or retries an instruction
     unsigned fetched = 0;
     while (fetched < cfg.fetchWidth &&
            fetchQueue.size() < cfg.fetchQueueEntries) {
@@ -317,7 +319,6 @@ Core::renameStage()
         const OpInfo &info = opInfo(inst.op);
 
         if (rob.size() >= cfg.robEntries) {
-            statRobFullStall.inc();
             // ROB-full is a symptom when commit is already draining a
             // region boundary; only claim the cycle if no commit-side
             // cause fired (commitStage ran earlier this tick).
@@ -333,10 +334,8 @@ Core::renameStage()
                              inst.op == Opcode::Clwb;
         int sq_slot = -1;
         if (is_store_slot) {
-            if (sqUsed >= cfg.sqEntries) {
-                statSqFullStall.inc();
+            if (sqUsed >= cfg.sqEntries)
                 return;
-            }
             PPA_ASSERT(!sqFreeSlots.empty(), "sqUsed inconsistent");
             sq_slot = static_cast<int>(sqFreeSlots.back());
         }
@@ -595,6 +594,8 @@ Core::issueStage()
     resetFuCycle();
     unsigned issued = 0;
     std::size_t attempts = readyQueue.size();
+    if (attempts > 0)
+        ++activity;
 
     while (attempts-- > 0 && issued < cfg.issueWidth) {
         std::uint64_t seq = readyQueue.front();
@@ -701,6 +702,7 @@ Core::writebackStage()
     if (eventDrain.empty())
         return;
     eventCount -= eventDrain.size();
+    ++activity;
     std::sort(eventDrain.begin(), eventDrain.end());
 
     for (const ExecEvent &ev : eventDrain) {
@@ -755,9 +757,10 @@ Core::mergeCommittedStores()
             mergeInFlight.erase(mergeInFlight.begin(),
                                 mergeInFlight.begin() +
                                     static_cast<std::ptrdiff_t>(done));
+            ++activity;
         }
     }
-    std::erase_if(clwbAcks, [&](Cycle c) {
+    activity += std::erase_if(clwbAcks, [&](Cycle c) {
         if (c <= curCycle) {
             PPA_ASSERT(outstandingClwbs > 0, "clwb underflow");
             --outstandingClwbs;
@@ -793,6 +796,7 @@ Core::mergeCommittedStores()
 
     releaseSqSlot(idx);
     committedStoreFifo.pop_front();
+    ++activity;
 }
 
 // --------------------------------------------------------------------
@@ -819,6 +823,7 @@ Core::regionBoundaryConditionsMet()
 void
 Core::completeRegionBoundary(RegionEndCause cause)
 {
+    ++activity;
     if (auditObs)
         auditObs->onRegionBoundaryStart(cause);
     if (telemHook)
@@ -896,7 +901,7 @@ Core::commitOne(RobEntry &e)
         if (!regionBoundaryConditionsMet()) {
             regions.onBoundaryStall();
             if (telemHook)
-                noteStructuralStall(drainStallReason());
+                noteDrainStall();
             return false;
         }
         completeRegionBoundary(RegionEndCause::PrfExhausted);
@@ -937,7 +942,7 @@ Core::commitOne(RobEntry &e)
             if (!regionBoundaryConditionsMet()) {
                 regions.onBoundaryStall();
                 if (telemHook)
-                    noteStructuralStall(drainStallReason());
+                    noteDrainStall();
                 return false;
             }
             completeRegionBoundary(RegionEndCause::SyncPrimitive);
@@ -967,11 +972,12 @@ Core::commitOne(RobEntry &e)
             if (!regionBoundaryConditionsMet()) {
                 regions.onBoundaryStall();
                 if (telemHook)
-                    noteStructuralStall(drainStallReason());
+                    noteDrainStall();
                 return false;
             }
             completeRegionBoundary(RegionEndCause::SyncPrimitive);
         }
+        ++activity;
         Word delta = readSrc(e, 0);
         Word old = memory.committed().read(inst.memAddr);
         if (cfg.mode == PersistMode::Ppa) {
@@ -1093,6 +1099,8 @@ Core::tick()
     // (Figure 5's methodology).
     freeIntHist.sample(intFreeList.size());
     freeFpHist.sample(fpFreeList.size());
+    tickBoundaryStalls = regions.stallCycles();
+    tickRenameStalls = statRenameStallNoReg.value();
 
     std::uint64_t commits_before = commitCount;
     commitStage();
@@ -1110,6 +1118,64 @@ Core::tick()
     ++curCycle;
 }
 
+Cycle
+Core::nextEventCycle(Cycle bound) const
+{
+    // No quiet tick leaves a ready instruction waiting: the issue
+    // stage counts as activity whenever the ready queue is non-empty.
+    PPA_ASSERT(readyQueue.empty(), "ready instruction in a quiet tick");
+    Cycle next = bound;
+    if (fetchResumeCycle >= curCycle)
+        next = std::min(next, fetchResumeCycle);
+    if (!mergeInFlight.empty())
+        next = std::min(next, mergeInFlight.front());
+    for (Cycle ack : clwbAcks)
+        next = std::min(next, ack);
+    // A drain stall's telemetry attribution reads WPQ occupancy,
+    // which drops as in-flight NVM writes complete.
+    if (drainNotedCycle == curCycle - 1)
+        next = std::min(next, memory.nvm().nextCompletionCycle(curCycle));
+    if (eventCount == 0)
+        return next;
+
+    // Writeback at cycle c drains bucket c's due events: walk the
+    // buckets in cycle order. Past one full lap every remaining event
+    // completes a lap or more out, in its own bucket's cycle.
+    Cycle lap_end = std::min(next, curCycle + eventWheelBuckets);
+    for (Cycle c = curCycle; c < lap_end; ++c) {
+        for (const ExecEvent &ev :
+             eventWheel[c & (eventWheelBuckets - 1)]) {
+            if (ev.complete <= c)
+                return c;
+        }
+    }
+    if (lap_end == next)
+        return next;
+    for (const std::vector<ExecEvent> &bucket : eventWheel) {
+        for (const ExecEvent &ev : bucket)
+            next = std::min(next, ev.complete);
+    }
+    return next;
+}
+
+void
+Core::skipIdle(Cycle until)
+{
+    PPA_ASSERT(until > curCycle, "idle skip must move forward");
+    std::uint64_t n = until - curCycle;
+    freeIntHist.sample(intFreeList.size(), n);
+    freeFpHist.sample(fpFreeList.size(), n);
+    regions.onBoundaryStall((regions.stallCycles() - tickBoundaryStalls) *
+                            n);
+    statRenameStallNoReg.inc(
+        (statRenameStallNoReg.value() - tickRenameStalls) * n);
+    if (telemHook)
+        telemHook->onIdle(curCycle, until);
+    curCycle = until;
+    if (auditObs)
+        auditObs->onCycle(until - 1);
+}
+
 void
 Core::noteStructuralStall(obs::StallReason reason)
 {
@@ -1125,6 +1191,13 @@ Core::noteStructuralStall(obs::StallReason reason)
     stallNoted = true;
     stallReason = reason;
     telemHook->onStructuralStall(reason);
+}
+
+void
+Core::noteDrainStall()
+{
+    drainNotedCycle = curCycle;
+    noteStructuralStall(drainStallReason());
 }
 
 obs::StallReason

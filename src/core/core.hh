@@ -135,11 +135,6 @@ class Core
     {
         return statRenameStallNoReg.value();
     }
-    std::uint64_t sqFullStalls() const { return statSqFullStall.value(); }
-    std::uint64_t robFullStalls() const
-    {
-        return statRobFullStall.value();
-    }
     std::uint64_t lastCommittedIndex() const { return lcpc; }
     bool anyCommitted() const { return lcpcValid; }
 
@@ -147,6 +142,38 @@ class Core
 
     /** Index of this core within the system. */
     unsigned id() const { return coreId; }
+
+    // ---- idle-cycle skipping (System) ---------------------------------
+    /**
+     * Grows with every change of pipeline state; unchanged across a
+     * tick() that changed nothing, which every later tick then repeats
+     * until a time-gated condition flips. Renames and commits count
+     * through the ROB sequence numbers they advance, so the per-
+     * instruction paths bump nothing.
+     */
+    std::uint64_t
+    activityCount() const
+    {
+        return activity + nextRobSeq + robSeqBase;
+    }
+
+    /**
+     * The first cycle, at or after cycle() and at most @p bound, at
+     * which a repeat of a tick that changed nothing could change
+     * something: a fetch resume, an execution completion, a store
+     * merge or clwb ack, and after a drain stall attributed for
+     * telemetry an NVM write completion. Only valid right after such
+     * a tick.
+     */
+    Cycle nextEventCycle(Cycle bound) const;
+
+    /**
+     * Book the cycles [cycle(), @p until) as repeats of the last
+     * tick, which changed nothing: its per-cycle statistics times the
+     * span, onIdle() to the telemetry hook and onCycle(@p until - 1)
+     * to the audit observer.
+     */
+    void skipIdle(Cycle until);
 
     // ---- audit instrumentation (read-only observers) ----------------
     /**
@@ -313,6 +340,8 @@ class Core
     void retireStoreBookkeeping(RobEntry &e);
     void releaseSqSlot(int idx);
     void noteStructuralStall(obs::StallReason reason);
+    /** Note a region drain's stall, attributed by drainStallReason(). */
+    void noteDrainStall();
     obs::StallReason drainStallReason() const;
 
     static std::size_t
@@ -452,6 +481,8 @@ class Core
      *  the cycle. noteStructuralStall PPA_ASSERTs the contract. */
     bool stallNoted = false;
     obs::StallReason stallReason = obs::StallReason::RobFull;
+    /** Cycle of the last noteDrainStall() (idle skipping). */
+    Cycle drainNotedCycle = neverCycle;
 
     // ---- PPA state -------------------------------------------------------
     PhysRegIndexer regIndexer;
@@ -473,8 +504,13 @@ class Core
     stats::Histogram freeIntHist;
     stats::Histogram freeFpHist;
     stats::Counter statRenameStallNoReg;
-    stats::Counter statSqFullStall;
-    stats::Counter statRobFullStall;
+
+    // ---- idle skipping ------------------------------------------------
+    std::uint64_t activity = 0;
+    /** Per-cycle stall counters at the start of the last tick; their
+     *  growth in it is what every skipped repeat adds. */
+    std::uint64_t tickBoundaryStalls = 0;
+    std::uint64_t tickRenameStalls = 0;
 };
 
 } // namespace ppa

@@ -1,5 +1,7 @@
 #include "mem/hierarchy.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace ppa
@@ -266,6 +268,17 @@ MemHierarchy::tick(Cycle now)
         wb->tick(now, *nvmDevice, persistedImage);
 }
 
+Cycle
+MemHierarchy::nextTickEvent(Cycle now) const
+{
+    Cycle next = neverCycle;
+    if (cfg.dramOnly)
+        return next;
+    for (const auto &wb : writeBuffers)
+        next = std::min(next, wb->nextIssueCycle(now, *nvmDevice));
+    return next;
+}
+
 unsigned
 MemHierarchy::outstandingPersists(unsigned core_id, Cycle now)
 {
@@ -321,15 +334,9 @@ MemHierarchy::powerFail()
         dramCacheModel->invalidateAll();
     // Un-issued WB entries are volatile and vanish; issued entries are
     // in the WPQ (ADR domain) and were already applied to the NVM
-    // image. Reconstruct the write buffers empty, keeping any attached
-    // audit observer across the rebuild.
-    for (unsigned c = 0; c < numCores; ++c) {
-        check::WriteBufferObserver *obs = writeBuffers[c]->observer();
-        writeBuffers[c] = std::make_unique<WriteBuffer>(
-            cfg.writeBufferEntries, cfg.l1d.lineBytes,
-            cfg.wbCoalesceWindow);
-        writeBuffers[c]->setObserver(obs);
-    }
+    // image.
+    for (auto &wb : writeBuffers)
+        wb->reset();
 }
 
 Cycle

@@ -92,6 +92,13 @@ class MemHierarchy
     /** Advance asynchronous machinery (WB issue/ack). */
     void tick(Cycle now);
 
+    /**
+     * First cycle at or after @p now at which tick() can change
+     * anything (neverCycle when it cannot), provided no core adds a
+     * store or enqueues an NVM write meanwhile.
+     */
+    Cycle nextTickEvent(Cycle now) const;
+
     /** Outstanding persist count for @p core_id (the L1D counter). */
     unsigned outstandingPersists(unsigned core_id, Cycle now);
 

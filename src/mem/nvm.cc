@@ -1,5 +1,6 @@
 #include "mem/nvm.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -51,6 +52,18 @@ Nvm::writeAcceptable(Addr line_addr, Cycle now)
     return mc.inflight.size() < nvmParams.wpqEntries;
 }
 
+Cycle
+Nvm::slotFreeCycle(Addr line_addr, Cycle now) const
+{
+    // In-flight completions are FIFO-ordered, so a slot frees when the
+    // entry wpqEntries places from the back completes.
+    const Controller &mc = controllers[controllerOf(line_addr)];
+    if (mc.inflight.size() < nvmParams.wpqEntries)
+        return now;
+    return std::max(now,
+                    mc.inflight[mc.inflight.size() - nvmParams.wpqEntries]);
+}
+
 NvmWriteTicket
 Nvm::enqueueWrite(Addr line_addr, unsigned bytes, Cycle now)
 {
@@ -85,6 +98,19 @@ Nvm::readLatency(Cycle now)
 {
     statReads.inc();
     return now + readLatencyCycles;
+}
+
+Cycle
+Nvm::nextCompletionCycle(Cycle now) const
+{
+    Cycle next = neverCycle;
+    for (const Controller &mc : controllers) {
+        auto it = std::lower_bound(mc.inflight.begin(), mc.inflight.end(),
+                                   now);
+        if (it != mc.inflight.end())
+            next = std::min(next, *it);
+    }
+    return next;
 }
 
 Cycle

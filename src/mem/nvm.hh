@@ -62,8 +62,18 @@ class Nvm
      */
     bool writeAcceptable(Addr line_addr, Cycle now);
 
+    /**
+     * First cycle at or after @p now at which writeAcceptable(@p
+     * line_addr) holds, assuming no further writes are enqueued.
+     */
+    Cycle slotFreeCycle(Addr line_addr, Cycle now) const;
+
     /** Completion time of a read issued at @p now. */
     Cycle readLatency(Cycle now);
+
+    /** First in-flight completion at or after @p now: the next cycle
+     *  at which some wpqOccupancy() drops; neverCycle when none. */
+    Cycle nextCompletionCycle(Cycle now) const;
 
     /** Largest ack cycle issued so far (for final drain). */
     Cycle drainAllBy() const;

@@ -1,5 +1,6 @@
 #include "mem/write_buffer.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -22,13 +23,13 @@ WriteBuffer::addStore(Addr addr, Word value, Cycle now)
 {
     Addr line = addr & ~Addr{lineBytes - 1};
 
-    // Persist coalescing: merge into an un-issued entry for the same
+    // Persist coalescing: merge into a waiting entry for the same
     // line. Correct within a region because the barrier drains the WB
     // before the next region's stores arrive (Section 4.3).
     unsigned word = static_cast<unsigned>((addr - line) >> 3);
 
     for (auto &e : entries) {
-        if (!e.issued && e.lineAddr == line) {
+        if (e.lineAddr == line) {
             e.words[word] = value;
             e.wordMask |= 1u << word;
             ++e.storeCount;
@@ -39,15 +40,8 @@ WriteBuffer::addStore(Addr addr, Word value, Cycle now)
         }
     }
 
-    unsigned unissued = 0;
-    for (const auto &e : entries) {
-        if (!e.issued)
-            ++unissued;
-    }
-    if (unissued >= capacity) {
-        statFullStall.inc();
+    if (entries.size() >= capacity)
         return false;
-    }
 
     Entry e;
     e.lineAddr = line;
@@ -64,48 +58,47 @@ WriteBuffer::addStore(Addr addr, Word value, Cycle now)
 void
 WriteBuffer::tick(Cycle now, Nvm &nvm, MemImage &nvm_image)
 {
-    // Issue the oldest un-issued entry per tick (one WB->WPQ port).
+    // Issue the oldest entry per tick (one WB->WPQ port).
     // Entries linger for a write-combining window so that a burst of
     // same-line stores coalesces into one persist operation — but
     // only a handful of lines stay open: older entries stream out
     // *during* the region (the paper's asynchronous writeback), so a
     // region boundary never faces a burst of deferred writebacks.
-    unsigned unissued = 0;
-    for (const auto &e : entries) {
-        if (!e.issued)
-            ++unissued;
+    if (entries.empty())
+        return;
+    const Entry &e = entries.front();
+    if (!pressured() && now < e.bornCycle + coalesceWindow)
+        return; // still combining; younger entries are newer yet
+    if (!nvm.writeAcceptable(e.lineAddr, now)) {
+        // WPQ full right now; keep the entry coalescable and try
+        // again next cycle rather than committing to a future slot (a
+        // younger same-line store may still merge).
+        return;
     }
-    bool pressured = draining || unissued > 3;
-    for (auto &e : entries) {
-        if (e.issued)
-            continue;
-        if (!pressured && now < e.bornCycle + coalesceWindow)
-            break; // still combining; younger entries are newer yet
-        if (!nvm.writeAcceptable(e.lineAddr, now)) {
-            // WPQ full right now; keep the entry coalescable and try
-            // again next cycle rather than committing to a future
-            // slot (a younger same-line store may still merge).
-            break;
-        }
-        NvmWriteTicket ticket = nvm.enqueueWrite(e.lineAddr, lineBytes,
-                                                 now);
-        e.issued = true;
-        e.ackCycle = ticket.ackCycle;
-        statOps.inc();
-        // Once in the WPQ the write is inside the persistence (ADR)
-        // domain: apply the word data to the persistent image now.
-        for (std::uint32_t m = e.wordMask; m != 0; m &= m - 1) {
-            unsigned w = static_cast<unsigned>(std::countr_zero(m));
-            nvm_image.write(e.lineAddr + Addr{w} * 8, e.words[w]);
-        }
-        if (obs)
-            obs->onPersistIssue(e.lineAddr, e.storeCount);
-        break;
+    nvm.enqueueWrite(e.lineAddr, lineBytes, now);
+    statOps.inc();
+    // Once in the WPQ the write is inside the persistence (ADR)
+    // domain: apply the word data to the persistent image now.
+    for (std::uint32_t m = e.wordMask; m != 0; m &= m - 1) {
+        unsigned w = static_cast<unsigned>(std::countr_zero(m));
+        nvm_image.write(e.lineAddr + Addr{w} * 8, e.words[w]);
     }
+    if (obs)
+        obs->onPersistIssue(e.lineAddr, e.storeCount);
+    // Retire the entry on WPQ acceptance (ADR: accepted ==
+    // persistent).
+    entries.pop_front();
+}
 
-    // Retire entries on WPQ acceptance (ADR: accepted == persistent).
-    while (!entries.empty() && entries.front().issued)
-        entries.pop_front();
+Cycle
+WriteBuffer::nextIssueCycle(Cycle now, const Nvm &nvm) const
+{
+    if (entries.empty())
+        return neverCycle;
+    const Entry &e = entries.front();
+    Cycle ready =
+        pressured() ? now : std::max(now, e.bornCycle + coalesceWindow);
+    return std::max(ready, nvm.slotFreeCycle(e.lineAddr, now));
 }
 
 unsigned
@@ -113,22 +106,31 @@ WriteBuffer::outstandingStores(Cycle now)
 {
     (void)now;
     unsigned n = 0;
-    for (const auto &e : entries) {
-        if (!e.issued)
-            n += e.storeCount;
-    }
+    for (const auto &e : entries)
+        n += e.storeCount;
     return n;
 }
 
 Cycle
 WriteBuffer::drainAll(Cycle now, Nvm &nvm, MemImage &nvm_image)
 {
+    // Ticks before nextIssueCycle() change nothing: jump over them.
     Cycle t = now;
-    while (outstandingStores(t) > 0) {
+    while (!entries.empty()) {
+        t = nextIssueCycle(t, nvm);
         tick(t, nvm, nvm_image);
         ++t;
     }
     return t;
+}
+
+void
+WriteBuffer::reset()
+{
+    entries.clear();
+    draining = false;
+    statCoalesced.reset();
+    statOps.reset();
 }
 
 } // namespace ppa

@@ -81,9 +81,18 @@ class WriteBuffer
 
     /**
      * Force-drain for end-of-simulation: returns the cycle by which
-     * everything is persisted (repeatedly ticking internally).
+     * everything is persisted (ticking at each nextIssueCycle()).
      */
     Cycle drainAll(Cycle now, Nvm &nvm, MemImage &nvm_image);
+
+    /**
+     * First cycle at or after @p now at which tick() can issue an
+     * entry: the later of the oldest entry's combining deadline and
+     * the cycle its NVM controller frees a WPQ slot.
+     * neverCycle when nothing is waiting. Exact as long as no store
+     * is added and nothing else enqueues into the NVM meanwhile.
+     */
+    Cycle nextIssueCycle(Cycle now, const Nvm &nvm) const;
 
     /**
      * Persist-barrier drain mode: while set, the write-combining
@@ -93,6 +102,9 @@ class WriteBuffer
      */
     void setDraining(bool on) { draining = on; }
 
+    /** Power failure: drop every entry and counter, as a new buffer. */
+    void reset();
+
     /** Buffered line entries (telemetry occupancy view). */
     std::size_t queuedEntries() const { return entries.size(); }
 
@@ -101,14 +113,12 @@ class WriteBuffer
 
     std::uint64_t coalescedStores() const { return statCoalesced.value(); }
     std::uint64_t persistOps() const { return statOps.value(); }
-    std::uint64_t fullStalls() const { return statFullStall.value(); }
 
-    /** Audit hook (MemHierarchy::powerFail carries it across). */
+    /** Audit hook. */
     void setObserver(check::WriteBufferObserver *observer)
     {
         obs = observer;
     }
-    check::WriteBufferObserver *observer() const { return obs; }
 
   private:
     /** Largest supported persist granularity (words per line). */
@@ -124,8 +134,6 @@ class WriteBuffer
         std::array<Word, maxLineWords> words{};
         std::uint32_t wordMask = 0;
         unsigned storeCount = 0;
-        bool issued = false;
-        Cycle ackCycle = 0;
         /** Cycle the entry was created (write-combining window). */
         Cycle bornCycle = 0;
     };
@@ -134,11 +142,16 @@ class WriteBuffer
     unsigned lineBytes;
     unsigned coalesceWindow;
     bool draining = false;
+    /** Entries waiting for the WPQ, oldest first; an entry leaves the
+     *  buffer when it issues. */
     std::deque<Entry> entries;
+
+    /** Combining is bypassed in drain mode or past three waiting
+     *  entries. */
+    bool pressured() const { return draining || entries.size() > 3; }
 
     stats::Counter statCoalesced;
     stats::Counter statOps;
-    stats::Counter statFullStall;
 
     check::WriteBufferObserver *obs = nullptr;
 };

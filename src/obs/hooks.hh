@@ -64,6 +64,13 @@ class TelemetryHook
     virtual void onCycleEnd(Cycle cycle, unsigned committed) = 0;
 
     /**
+     * The cycles [@p from, @p to) were skipped: each repeated the
+     * last onCycleEnd cycle exactly, stall attribution included, and
+     * no state the hook samples changed in them.
+     */
+    virtual void onIdle(Cycle from, Cycle to) = 0;
+
+    /**
      * A structural stall fired this cycle. Core guarantees (and
      * PPA_ASSERTs) at most one call per cycle.
      */

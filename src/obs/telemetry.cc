@@ -347,11 +347,21 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
         }
         ++classCycles[static_cast<std::size_t>(c)];
         ++covered;
+        lastClass = c;
         haveReason = false;
         if (cycle == nextSample) {
             sampleNow(cycle);
             nextSample += cfg.sampleCycles;
         }
+    }
+
+    void
+    onIdle(Cycle from, Cycle to) override
+    {
+        classCycles[static_cast<std::size_t>(lastClass)] += to - from;
+        covered += to - from;
+        for (; nextSample < to; nextSample += cfg.sampleCycles)
+            sampleNow(nextSample);
     }
 
     void
@@ -553,6 +563,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     // Cycle classification.
     std::uint64_t classCycles[kCycleClassCount] = {};
     std::uint64_t covered = 0;
+    CycleClass lastClass = CycleClass::Other;
     StallReason pendingReason = StallReason::RobFull;
     bool haveReason = false;
 

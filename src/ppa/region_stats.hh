@@ -43,8 +43,9 @@ class RegionStats
             ++curOthers;
     }
 
-    /** Called for every cycle the pipeline stalls at a boundary. */
-    void onBoundaryStall() { boundaryStallCycles.inc(); }
+    /** Called for every cycle the pipeline stalls at a boundary; @p n
+     *  books a span of identical stalled cycles at once. */
+    void onBoundaryStall(std::uint64_t n = 1) { boundaryStallCycles.inc(n); }
 
     /** Called when the current region's boundary completes. */
     void

@@ -188,14 +188,17 @@ Run::armFailures(std::vector<Cycle> at, Cycle base, RunStats &sink)
 }
 
 void
-Run::step()
+Run::step(Cycle until)
 {
     if (nextFail < failAt.size() &&
         sys->cycle() - failBase >= failAt[nextFail]) {
         ++nextFail;
         auditedCrash(*failSink);
     }
-    sys->tick();
+    // At least one tick, then on to @p until or the next armed failure.
+    if (nextFail < failAt.size())
+        until = std::min(until, failBase + failAt[nextFail]);
+    sys->runUntilCycle(std::max(until, sys->cycle() + 1));
 }
 
 Cycle
@@ -203,8 +206,9 @@ Run::warmup(std::uint64_t insts, Cycle cap, unsigned check_every)
 {
     while (!sys->allDone() && sys->cycle() < cap &&
            sys->totalCommitted() < insts) {
-        for (unsigned i = 0; i < check_every && !sys->allDone(); ++i)
-            step();
+        Cycle check = sys->cycle() + check_every;
+        while (sys->cycle() < check && !sys->allDone())
+            step(check);
     }
     return sys->cycle();
 }
@@ -214,7 +218,7 @@ Run::finish(Cycle cap)
 {
     while (nextFail < failAt.size() && !sys->allDone() &&
            sys->cycle() < cap)
-        step();
+        step(cap);
     sys->run(cap);
 }
 

@@ -163,7 +163,7 @@ class Run
     /**
      * Tick (firing armed failures) until @p insts instructions have
      * committed, all cores are done, or the cycle reaches @p cap,
-     * checking the target every @p check_every ticks. Returns the
+     * checking the target every @p check_every cycles. Returns the
      * cycle warmup ended on.
      */
     Cycle warmup(std::uint64_t insts, Cycle cap, unsigned check_every);
@@ -202,7 +202,9 @@ class Run
     obs::TelemetryResult harvestTelemetry();
 
   private:
-    void step();
+    /** Fire the armed failure that is due, if any, then tick at least
+     *  once and on to @p until or the next armed failure. */
+    void step(Cycle until);
 
     struct Stack
     {

@@ -48,7 +48,11 @@ class System
     /** Seed main memory (NVM + committed image) with initial data. */
     void seedMemory(const MemImage &initial);
 
-    /** Advance the whole system one cycle. */
+    /**
+     * Advance the whole system one cycle. The per-cycle reference:
+     * run() and runUntilCycle() reach the same state, skipping cycles
+     * in which nothing happens.
+     */
     void tick();
 
     /** True when every core has drained its pipeline. */
@@ -60,7 +64,8 @@ class System
      */
     Cycle run(Cycle max_cycles = 0);
 
-    /** Run until the global cycle reaches @p target_cycle. */
+    /** Run until the global cycle reaches @p target_cycle or every
+     *  core is done. */
     void runUntilCycle(Cycle target_cycle);
 
     /**
@@ -85,6 +90,16 @@ class System
     std::uint64_t totalCommitted() const;
 
   private:
+    /**
+     * tick(); then, when no core changed state in it, jump to the
+     * first cycle (at most @p limit) at which a repeat of it could
+     * behave differently, booking the skipped repeats in bulk.
+     */
+    void advance(Cycle limit);
+
+    /** Sum of every core's activity count. */
+    std::uint64_t activityCount() const;
+
     SystemConfig cfg;
     ClockDomain clockDomain;
     std::unique_ptr<MemHierarchy> hierarchy;
