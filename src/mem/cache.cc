@@ -154,23 +154,13 @@ Cache::cleanLine(Addr addr)
     }
 }
 
-std::vector<Addr>
+void
 Cache::invalidateAll()
 {
-    std::vector<Addr> dirty;
-    for (std::size_t si = 0; si < numSets; ++si) {
-        Line *set = setBase(si);
-        for (unsigned w = 0; w < params.assoc; ++w) {
-            Line &line = set[w];
-            if (line.valid && line.dirty) {
-                dirty.push_back(((line.tag << setShift) | si)
-                                << lineShift);
-            }
-            line.valid = false;
-            line.dirty = false;
-        }
+    for (Line &line : lines) {
+        line.valid = false;
+        line.dirty = false;
     }
-    return dirty;
 }
 
 std::vector<Addr>

@@ -63,8 +63,8 @@ class Cache
     /** Clear a line's dirty bit (after its data has been persisted). */
     void cleanLine(Addr addr);
 
-    /** Invalidate every line; returns dirty line addresses. */
-    std::vector<Addr> invalidateAll();
+    /** Invalidate every line, dirty or not (a power failure). */
+    void invalidateAll();
 
     /** All currently dirty line addresses (for final drain). */
     std::vector<Addr> dirtyLines() const;

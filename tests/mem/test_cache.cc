@@ -94,17 +94,19 @@ TEST(Cache, InsertWritebackMergesDirtyBit)
     EXPECT_EQ(c.dirtyLines().size(), 1u);
 }
 
-TEST(Cache, InvalidateAllReturnsDirtyLines)
+TEST(Cache, InvalidateAllDropsEveryLine)
 {
     Cache c(smallCache());
     // Distinct sets so nothing evicts anything.
     c.access(0x0, true);
     c.access(0x40, true);
     c.access(0x80, false);
-    auto dirty = c.invalidateAll();
-    EXPECT_EQ(dirty.size(), 2u);
+    ASSERT_EQ(c.dirtyLines().size(), 2u);
+    c.invalidateAll();
     EXPECT_FALSE(c.contains(0x0));
+    EXPECT_FALSE(c.contains(0x40));
     EXPECT_FALSE(c.contains(0x80));
+    EXPECT_TRUE(c.dirtyLines().empty());
 }
 
 TEST(Cache, LineAlign)

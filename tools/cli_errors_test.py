@@ -7,13 +7,14 @@ offending flag. This pins the CLI's error contract: garbage numerics
 must never be silently coerced (the old ``std::stoul``-based parsing
 accepted ``12x`` as 12 and aborted on ``abc``), zero must be rejected
 where a count is structurally positive, and every rejection must point
-the user at ``--help``.
+the user at ``--help``. It also checks that every command answers
+``--help`` with exit 0 and its help block.
 
 Stdlib only; no third-party packages. Usage:
 
     python3 tools/cli_errors_test.py --cli build/tools/ppa_cli
 
-Exit status 0 when every case rejects as specified, 1 otherwise.
+Exit status 0 when every case behaves as specified, 1 otherwise.
 """
 
 import argparse
@@ -116,10 +117,36 @@ CASES = [
      "--burst-factor times --on-fraction must be at most 1"),
     (["serve", "--telemetry-trace", "/tmp/x.json"],
      "--telemetry-trace requires --telemetry"),
+    # stray positionals are rejected, not ignored.
+    (["trace", "info", "/nonexistent/ppa-trace", "extra"],
+     "unexpected argument 'extra'"),
+    (["trace", "verify", "/nonexistent/ppa-trace", "extra"],
+     "unexpected argument 'extra'"),
+    (["litmus", "list", "extra"], "unexpected argument 'extra'"),
+    # a flag at the end of the line without its value.
+    (["run", "--app"], "missing value for --app"),
+    (["serve", "--ops"], "missing value for --ops"),
+]
+
+# (argv suffix, required header). Every command answers --help with
+# exit 0 and its subcommand's help block.
+HELP_CASES = [
+    (["run", "--help"], "subcommand: run"),
+    (["profile", "--help"], "subcommand: profile"),
+    (["trace", "--help"], "subcommand: trace"),
+    (["trace", "record", "--help"], "subcommand: trace"),
+    (["trace", "cat", "/nonexistent/ppa-trace", "--help"],
+     "subcommand: trace"),
+    (["sweep", "--help"], "subcommand: sweep"),
+    (["litmus", "--help"], "subcommand: litmus"),
+    (["litmus", "run", "--help"], "subcommand: litmus"),
+    (["fuzz", "--help"], "subcommand: fuzz"),
+    (["fuzz", "repro", "--help"], "subcommand: fuzz"),
+    (["serve", "--help"], "subcommand: serve"),
 ]
 
 
-def run_case(cli, argv, needle):
+def run_case(cli, argv, needle, want_success=False):
     try:
         proc = subprocess.run(
             [cli] + argv,
@@ -130,7 +157,9 @@ def run_case(cli, argv, needle):
         )
     except subprocess.TimeoutExpired:
         return f"{' '.join(argv)}: still running after 60 s"
-    if proc.returncode == 0:
+    if want_success and proc.returncode != 0:
+        return f"{' '.join(argv)}: expected exit 0, got {proc.returncode}"
+    if not want_success and proc.returncode == 0:
         return f"{' '.join(argv)}: expected nonzero exit, got 0"
     if needle not in proc.stdout:
         head = proc.stdout.splitlines()[:2]
@@ -151,13 +180,18 @@ def main():
         err = run_case(args.cli, argv, needle)
         if err:
             problems.append(err)
+    for argv, header in HELP_CASES:
+        err = run_case(args.cli, argv, header, want_success=True)
+        if err:
+            problems.append(err)
 
     for p in problems:
         print(f"cli_errors_test: {p}", file=sys.stderr)
     if problems:
         return 1
     print(f"cli_errors_test: OK — {len(CASES)} malformed invocations "
-          "all rejected with diagnostics")
+          f"all rejected with diagnostics, {len(HELP_CASES)} --help "
+          "invocations answered")
     return 0
 
 

@@ -19,16 +19,25 @@
  *   ppa_cli sweep --list
  *   ppa_cli sweep fig11
  *   ppa_cli sweep fig18 --jobs 8 --insts 30000 --out /tmp/res --csv
+ *
+ * Every subcommand, its positional arguments and its flags are one
+ * entry of commandTable(). That table is the single source of
+ * `--help`: parseCommandLine() checks argv against the same entries
+ * that print the help text, so no flag can be accepted without being
+ * documented, or documented without being accepted.
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "check/litmus.hh"
 #include "common/table.hh"
@@ -49,297 +58,6 @@ using namespace ppa;
 
 namespace
 {
-
-void
-usageRun()
-{
-    std::printf(
-        "subcommand: run — simulate one application (the default "
-        "when no\n"
-        "subcommand is named)\n"
-        "  ppa_cli [run] --app NAME [options]\n"
-        "  --list              list the modeled applications\n"
-        "  --app NAME          application to run (required unless "
-        "--list)\n"
-        "  --variant V         memory-mode | ppa | capri | "
-        "replaycache | eadr-bbb | dram-only (default: ppa)\n"
-        "  --insts N           committed instructions per core "
-        "(default 50000)\n"
-        "  --threads N         thread/core count (default: profile)\n"
-        "  --csq N             CSQ entries (default 40)\n"
-        "  --int-prf N         integer PRF entries (default 180)\n"
-        "  --fp-prf N          FP PRF entries (default 168)\n"
-        "  --wpq N             WPQ entries per controller (default "
-        "16)\n"
-        "  --bw G              NVM write bandwidth GB/s (default "
-        "2.3)\n"
-        "  --l3                add an L3 between L2 and DRAM cache\n"
-        "  --seed N            workload seed (default 42)\n"
-        "  --compare           also run the memory-mode baseline and "
-        "report the slowdown\n"
-        "  --audit             attach the persistence-invariant "
-        "auditors (ppa variant)\n"
-        "  --fail-at-cycle N   inject a power failure at cycle N and "
-        "recover through the\n"
-        "                      serialized checkpoint (repeatable; ppa "
-        "variant)\n"
-        "  --trace DIR         replay a recorded trace instead of the "
-        "generator; threads,\n"
-        "                      insts, seed and app come from the "
-        "manifest\n"
-        "  --time-parallel K   split this one run into K instruction "
-        "segments and simulate\n"
-        "                      them concurrently (docs/PERF.md; not "
-        "replaycache)\n"
-        "  --warmup-insts N    per-segment warmup prefix in "
-        "instructions, discarded while\n"
-        "                      microarchitectural state re-converges "
-        "(default 2000)\n"
-        "  --sampled N         SimPoint-style sampling: simulate only "
-        "every Nth segment and\n"
-        "                      extrapolate, reporting a confidence "
-        "estimate (default 1)\n"
-        "  --tp-workers N      host threads for segment execution "
-        "(0 = hardware); results\n"
-        "                      are identical for any value\n"
-        "  --tp-fail S:C       inject a power failure in segment S "
-        "once its measured window\n"
-        "                      has run C cycles (C=0 = exactly at the "
-        "segment join;\n"
-        "                      repeatable; ppa variant)\n"
-        "  --error-bound       also run the unsegmented serial "
-        "reference and report the\n"
-        "                      per-stat warmup-truncation delta "
-        "(requires --time-parallel)\n"
-        "  --json FILE         also write the run's RunStats JSON to "
-        "FILE\n"
-        "  --telemetry         attach the in-run telemetry collector "
-        "(docs/TELEMETRY.md):\n"
-        "                      sampled counter series, region/power "
-        "timelines, and\n"
-        "                      stall attribution land in "
-        "stats.telemetry\n"
-        "  --telemetry-sample N  counter-series sampling period in "
-        "cycles (default 256;\n"
-        "                      implies --telemetry)\n"
-        "  --telemetry-trace FILE  write a Chrome trace-event JSON of "
-        "the run, loadable\n"
-        "                      in Perfetto / chrome://tracing (implies "
-        "--telemetry)\n");
-}
-
-void
-usageProfile()
-{
-    std::printf(
-        "subcommand: profile — run with telemetry and print where the "
-        "cycles went\n"
-        "  ppa_cli profile APP [options]\n"
-        "  --variant V         system variant (default: ppa)\n"
-        "  --insts N           committed instructions per core "
-        "(default 50000)\n"
-        "  --threads N         thread/core count (default: profile)\n"
-        "  --seed N            workload seed (default 42)\n"
-        "  --telemetry-sample N  counter-series sampling period in "
-        "cycles (default 256)\n"
-        "  --telemetry-trace FILE  also write the Chrome trace-event "
-        "JSON\n"
-        "  --json FILE         also write the run's RunStats JSON "
-        "(with stats.telemetry)\n");
-}
-
-void
-usageTrace()
-{
-    std::printf(
-        "subcommand: trace — record/inspect committed-stream traces\n"
-        "  ppa_cli trace record --app NAME --out DIR [--insts N] "
-        "[--seed N] [--threads N]\n"
-        "                       [--shard-insts N] [--block-insts N]\n"
-        "  ppa_cli trace info DIR      print the manifest and shard "
-        "table\n"
-        "  ppa_cli trace cat DIR [--thread T] [--limit N] [--start I]  "
-        "dump records as text\n"
-        "  ppa_cli trace verify DIR    check manifest, CRCs, and "
-        "decode every block\n");
-}
-
-void
-usageSweep()
-{
-    std::printf(
-        "subcommand: sweep — run one figure's full grid in parallel and "
-        "print its table\n"
-        "  ppa_cli sweep FIGURE [options]\n"
-        "  ppa_cli sweep --list    list the available figure sweeps\n"
-        "  --jobs N            driver worker threads (default: "
-        "hardware)\n"
-        "  --insts N           committed instructions per core "
-        "(default: figure's own)\n"
-        "  --seed N            workload seed (default 42)\n"
-        "  --out DIR           output directory (default: "
-        "$PPA_RESULTS_DIR or results)\n"
-        "  --csv               also write FIGURE.csv next to the "
-        "JSON\n"
-        "  --audit             run every ppa-variant job with the "
-        "invariant auditors attached\n"
-        "  --telemetry         run every job with telemetry attached "
-        "and write one Chrome\n"
-        "                      trace per job under "
-        "FIGURE_telemetry/\n");
-}
-
-void
-usageLitmus()
-{
-    std::printf(
-        "subcommand: litmus — persistency-model conformance checks "
-        "(docs/CHECKING.md)\n"
-        "  ppa_cli litmus list                    show the litmus "
-        "corpus\n"
-        "  ppa_cli litmus run [TEST...] [options]     exhaustive "
-        "crash-point enumeration\n"
-        "  ppa_cli litmus explore [TEST...] [options] auditor-biased "
-        "randomized crashes\n"
-        "  --all               run the whole corpus\n"
-        "  --variant V         system variant to crash-observe "
-        "(default: ppa; memory-mode\n"
-        "                      and replaycache are judged against "
-        "their own model flavors)\n"
-        "  --schedules N       explore: crash points to sample per "
-        "test (default 64)\n"
-        "  --seed N            explore: crash-schedule RNG seed "
-        "(default 1)\n"
-        "  --json FILE         write the conformance verdicts as JSON "
-        "(tools/litmus_report.py\n"
-        "                      aggregates results/litmus_*.json)\n"
-        "  --expect-divergence fail unless at least one observed "
-        "outcome diverges from the\n"
-        "                      strict PPA model (baseline "
-        "discrimination proof)\n");
-}
-
-void
-usageFuzz()
-{
-    std::printf(
-        "subcommand: fuzz — crash-consistency fuzzing campaign "
-        "(docs/FUZZING.md)\n"
-        "  ppa_cli fuzz run [options]   generate programs, crash them, "
-        "judge, shrink\n"
-        "  ppa_cli fuzz repro FILE      re-judge a minimal reproducer "
-        "file\n"
-        "  --variant V         variant to crash-observe (default: "
-        "ppa)\n"
-        "  --programs N        generated programs per campaign "
-        "(default 200)\n"
-        "  --schedules N       biased crash points per program "
-        "(default 16)\n"
-        "  --seed N            campaign seed; results are bitwise "
-        "reproducible from it (default 1)\n"
-        "  --max-findings N    offending programs to record, replay, "
-        "and shrink (default 4)\n"
-        "  --corpus-out DIR    write minimal reproducers here as "
-        ".litmus files\n"
-        "  --trace-out DIR     record findings as traces here and "
-        "confirm them by replay\n"
-        "  --json FILE         write the campaign verdict as JSON "
-        "(tools/fuzz_report.py aggregates)\n"
-        "  --expect-divergence fail unless the campaign found at "
-        "least one strict-forbidden state\n"
-        "  --check-minimal     repro: also verify the reproducer is "
-        "1-minimal\n");
-}
-
-void
-usageServe()
-{
-    std::printf(
-        "subcommand: serve — open-loop transaction-serving study "
-        "(docs/SERVING.md)\n"
-        "  ppa_cli serve [options]    drive Zipfian request streams "
-        "against each\n"
-        "                             durability variant and compare "
-        "tail latency,\n"
-        "                             throughput, recovery time, and "
-        "data loss\n"
-        "  --workload W        tatp | tpcc | kv (default tatp)\n"
-        "  --variant V         serve variant: ppa, undo-redo-log, "
-        "delay-free;\n"
-        "                      repeatable (default: all three)\n"
-        "  --ops N             total requests across all threads "
-        "(default 1000000)\n"
-        "  --threads N         server cores / request streams "
-        "(default 2)\n"
-        "  --keys N            per-thread key-space size; a power of "
-        "two <= 65536\n"
-        "                      (default 4096)\n"
-        "  --skew S            Zipfian theta, non-negative; 0 = "
-        "uniform (default 0.99)\n"
-        "  --read-pct N        kv workload GET percentage, 0..100 "
-        "(default 50)\n"
-        "  --arrival A         arrival process: poisson | bursty "
-        "(default poisson)\n"
-        "  --mean-gap N        mean inter-arrival gap per stream in "
-        "cycles (default 256)\n"
-        "  --burst-factor F    bursty: on-phase rate multiplier "
-        "(default 4)\n"
-        "  --burst-period N    bursty: square-wave period in cycles "
-        "(default 65536)\n"
-        "  --on-fraction F     bursty: fraction of each period in the "
-        "on phase,\n"
-        "                      in (0, 1) (default 0.25)\n"
-        "  --failures N        injected power-failure points per "
-        "variant (default 8)\n"
-        "  --seed N            root seed; the whole study is bitwise "
-        "reproducible\n"
-        "                      from it (default 42)\n"
-        "  --workers N         host threads for failure branches; any "
-        "value yields\n"
-        "                      identical output (default: hardware "
-        "parallelism)\n"
-        "  --json FILE         write the study as JSON "
-        "(tools/serve_report.py renders it)\n"
-        "  --telemetry         collect in-run telemetry and request "
-        "spans per variant\n"
-        "  --telemetry-trace FILE  write the first variant's Chrome "
-        "trace (needs --telemetry)\n");
-}
-
-void
-usage()
-{
-    std::printf(
-        "usage: ppa_cli [SUBCOMMAND] [options]\n"
-        "subcommands: run (default), sweep, trace, profile, "
-        "litmus, fuzz, serve\n"
-        "flags are grouped by the subcommand they belong to:\n"
-        "\n");
-    usageRun();
-    std::printf("\n");
-    usageProfile();
-    std::printf("\n");
-    usageTrace();
-    std::printf("\n");
-    usageSweep();
-    std::printf("\n");
-    usageLitmus();
-    std::printf("\n");
-    usageFuzz();
-    std::printf("\n");
-    usageServe();
-}
-
-SystemVariant
-parseVariant(const std::string &name)
-{
-    SystemVariant v;
-    if (!variantFromToken(name, v)) {
-        std::fprintf(stderr, "unknown variant '%s'\n", name.c_str());
-        std::exit(1);
-    }
-    return v;
-}
 
 /**
  * Strict decimal parse for flag values: the whole token must be
@@ -446,354 +164,310 @@ parsePositiveDouble(const char *flag, const char *text)
     return v;
 }
 
-int
-sweepMain(int argc, char **argv)
+/** Parse a token through its fromToken lookup; an unknown token is
+ *  fatal, naming @p choices after it when they are given. */
+template <typename T>
+T
+parseChoice(const char *what, const char *choices, const std::string &tok,
+            bool (*fromToken)(const std::string &, T &))
 {
-    std::string figure;
+    T v{};
+    if (!fromToken(tok, v)) {
+        std::fprintf(stderr, "unknown %s '%s'%s\n", what, tok.c_str(),
+                     choices);
+        std::exit(1);
+    }
+    return v;
+}
+
+/** `--tp-fail SEGMENT:CYCLE`; each half is a strict count. */
+ExperimentKnobs::SegmentFailure
+parseSegmentFailure(const char *text)
+{
+    const std::string spec = text;
+    auto colon = spec.find(':');
+    if (colon == std::string::npos) {
+        std::fprintf(stderr, "--tp-fail wants SEGMENT:CYCLE, got '%s'\n",
+                     text);
+        std::exit(1);
+    }
+    ExperimentKnobs::SegmentFailure f;
+    f.segment = parseUnsigned("--tp-fail segment",
+                              spec.substr(0, colon).c_str());
+    f.cycle = parseCount("--tp-fail cycle", spec.substr(colon + 1).c_str());
+    return f;
+}
+
+/**
+ * Every command's settings, starting at the defaults the help text
+ * states. The flag table's setters write here and the command bodies
+ * read it; commands that take the same flag share its field.
+ */
+struct Options
+{
+    Options()
+    {
+        knobs.instsPerCore = 50'000;
+        capture.instsPerThread = 50'000;
+    }
+
+    std::vector<std::string> args; ///< the command's positionals
+    std::string app;               ///< run, trace record
+    SystemVariant variant = SystemVariant::Ppa;
+    /** run and profile; sweep reads seed, audit and telemetry. */
+    ExperimentKnobs knobs;
+    bool list = false; ///< run, sweep
+    bool compare = false;
+    bool instsGiven = false;
+    bool errorBound = false;
+    std::string jsonPath;  ///< run, profile, litmus, fuzz, serve
+    std::string tracePath; ///< --telemetry-trace: run, profile, serve
+
+    std::string traceOut;
+    trace::CaptureSpec capture;
+    unsigned catThread = 0;
+    std::uint64_t catLimit = 32;
+    std::uint64_t catStart = 0;
+
     unsigned jobs = 0;
-    std::uint64_t insts = 0;
-    std::uint64_t seed = 42;
-    std::string outDir = metrics::resultsDir();
+    std::uint64_t sweepInsts = 0; ///< 0 = the figure's own
+    std::string sweepOut = metrics::resultsDir();
     bool csv = false;
-    bool audit = false;
-    bool telemetry = false;
 
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            TextTable t({"figure", "jobs", "description"});
-            for (const auto &name : figureNames()) {
-                FigureSweep fs = figureSweep(name);
-                t.addRow({fs.name, std::to_string(fs.jobs.size()),
-                          fs.description});
-            }
-            std::printf("%s", t.render().c_str());
-            return 0;
-        } else if (arg == "--jobs") {
-            jobs = parseUnsigned("--jobs", next());
-        } else if (arg == "--insts") {
-            insts = parseCount("--insts", next());
-        } else if (arg == "--seed") {
-            seed = parseCount("--seed", next());
-        } else if (arg == "--out") {
-            outDir = next();
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (arg == "--audit") {
-            audit = true;
-        } else if (arg == "--telemetry") {
-            telemetry = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usageSweep();
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-' && figure.empty()) {
-            figure = arg;
-        } else {
-            std::fprintf(stderr, "unknown sweep option '%s'\n",
-                         arg.c_str());
-            usageSweep();
-            return 1;
-        }
-    }
+    check::LitmusOptions litmusOpts;
+    fuzz::CampaignOptions campaign;
+    bool all = false;
+    bool expectDivergence = false; ///< litmus, fuzz run
+    bool checkMinimal = false;
 
-    if (figure.empty()) {
-        std::fprintf(stderr,
-                     "sweep: figure name required (see sweep --list)\n");
-        return 1;
-    }
-    if (!figureExists(figure)) {
-        std::fprintf(stderr,
-                     "sweep: unknown figure '%s' (see sweep --list)\n",
-                     figure.c_str());
-        return 1;
-    }
+    serve::ServeConfig serveCfg;
+    std::vector<serve::ServeVariant> serveVariants;
+};
 
-    const FigureSweep fs = figureSweep(figure, insts, seed);
-    // Run-level flags go on a copy: the figure's table reads the
-    // grid's own points.
-    std::vector<SweepJob> runJobs = fs.jobs;
-    for (SweepJob &job : runJobs) {
-        job.knobs.audit |= audit;
-        job.knobs.telemetry |= telemetry;
-    }
-    ExperimentDriver driver(jobs);
-    std::fprintf(stderr, "sweep %s: %zu jobs on %u threads — %s\n",
-                 fs.name.c_str(), fs.jobs.size(), driver.workers(),
-                 fs.description.c_str());
-    auto results = driver.run(
-        runJobs,
-        [](const JobResult &r, std::size_t done, std::size_t total) {
-            std::fprintf(stderr, "  [%zu/%zu] %s/%s (%.2fs)\n", done,
-                         total, r.job.profile.name.c_str(),
-                         variantToken(r.job.variant), r.wallSeconds);
-        });
+/** One flag: its help line and the setter that parses its value. */
+struct Flag
+{
+    const char *name;
+    const char *metavar; ///< nullptr for a switch
+    const char *help;    ///< a '\n' continues the text on a new line
+    std::function<void(const char *value)> set;
+};
 
-    if (audit) {
-        std::uint64_t events = 0;
-        std::uint64_t violations = 0;
-        for (const JobResult &r : results) {
-            events += r.stats.auditEvents;
-            violations += r.stats.auditViolations;
-            for (const std::string &m : r.stats.auditMessages)
-                std::fprintf(stderr, "  audit: %s\n", m.c_str());
-        }
-        std::printf("audit: %llu events, %llu violations\n",
-                    static_cast<unsigned long long>(events),
-                    static_cast<unsigned long long>(violations));
-        if (violations)
-            return 1;
-    }
-
-    if (telemetry) {
-        // One Chrome trace per job. Figures re-run the same
-        // (workload, variant) pair under different knobs, so the job
-        // index keeps the filenames unique.
-        std::string traceDir = outDir + "/" + fs.name + "_telemetry";
-        std::error_code ec;
-        std::filesystem::create_directories(traceDir, ec);
-        for (std::size_t j = 0; j < results.size(); ++j) {
-            const JobResult &r = results[j];
-            std::string path = traceDir + "/" + std::to_string(j) +
-                               "_" + r.job.profile.name + "_" +
-                               variantToken(r.job.variant) +
-                               ".trace.json";
-            if (!obs::writeChromeTrace(r.stats.telemetry, path)) {
-                std::fprintf(stderr, "sweep: cannot write %s\n",
-                             path.c_str());
-                return 1;
-            }
-        }
-        std::printf("wrote %zu telemetry trace(s) under %s\n",
-                    results.size(), traceDir.c_str());
-    }
-
-    const FigureTable table = figureTable(fs, results);
-    std::string jsonPath = outDir + "/" + fs.name + ".json";
-    if (!metrics::writeFile(
-            jsonPath, metrics::sweepToJson(fs.name, results, table.extras)))
-        return 1;
-    std::printf("wrote %s (%zu jobs)\n", jsonPath.c_str(),
-                results.size());
-    if (csv) {
-        std::string csvPath = outDir + "/" + fs.name + ".csv";
-        if (!metrics::writeFile(csvPath, metrics::sweepToCsv(results)))
-            return 1;
-        std::printf("wrote %s\n", csvPath.c_str());
-    }
-    std::printf("\n%s", table.render().c_str());
-    return 0;
+Flag
+toggle(const char *name, const char *help, bool &dst)
+{
+    return {name, nullptr, help, [&dst](const char *) { dst = true; }};
 }
 
-int
-traceRecordMain(int argc, char **argv)
+Flag
+text(const char *name, const char *metavar, const char *help,
+     std::string &dst)
 {
-    std::string app;
-    std::string out;
-    trace::CaptureSpec spec;
-    spec.instsPerThread = 50'000;
-
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--app") {
-            app = next();
-        } else if (arg == "--out") {
-            out = next();
-        } else if (arg == "--insts") {
-            spec.instsPerThread = parsePositiveCount("--insts", next());
-        } else if (arg == "--seed") {
-            spec.seed = parseCount("--seed", next());
-        } else if (arg == "--threads") {
-            spec.threads = parseUnsigned("--threads", next());
-        } else if (arg == "--shard-insts") {
-            spec.shardInsts = parsePositiveCount("--shard-insts", next());
-        } else if (arg == "--block-insts") {
-            spec.blockInsts = parsePositiveUnsigned("--block-insts", next());
-        } else {
-            std::fprintf(stderr, "unknown trace record option '%s'\n",
-                         arg.c_str());
-            return 1;
-        }
-    }
-    if (app.empty() || out.empty()) {
-        std::fprintf(stderr,
-                     "trace record: --app and --out are required\n");
-        return 1;
-    }
-
-    const WorkloadProfile &profile = profileByName(app);
-    trace::TraceSummary s = trace::recordWorkloadTrace(out, profile, spec);
-    std::printf("recorded %s: %llu insts in %u shard(s), crc %08x\n",
-                out.c_str(),
-                static_cast<unsigned long long>(s.totalInsts),
-                s.shardCount, s.combinedCrc);
-    return 0;
+    return {name, metavar, help, [&dst](const char *v) { dst = v; }};
 }
 
-int
-traceInfoMain(const std::string &dir)
+template <typename T>
+Flag
+number(const char *name, const char *metavar, const char *help, T &dst,
+       T (*parse)(const char *, const char *))
 {
-    trace::TraceSet set = trace::TraceSet::openOrDie(dir);
-    const trace::TraceMeta &meta = set.metadata();
-    TextTable t({"field", "value"});
-    t.addRow({"app", meta.app});
-    t.addRow({"seed", std::to_string(meta.seed)});
-    t.addRow({"threads", std::to_string(meta.threads)});
-    t.addRow({"insts / thread", std::to_string(meta.instsPerThread)});
-    t.addRow({"shard insts", std::to_string(meta.shardInsts)});
-    t.addRow({"block insts", std::to_string(meta.blockInsts)});
-    t.addRow({"shards", std::to_string(set.allShards().size())});
-    char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x", set.combinedCrc());
-    t.addRow({"combined crc32", crc});
-    std::printf("%s", t.render().c_str());
-
-    TextTable shards({"file", "thread", "first index", "insts", "crc32"});
-    for (const trace::ShardInfo &s : set.allShards()) {
-        std::snprintf(crc, sizeof(crc), "%08x", s.crc32);
-        shards.addRow({s.file, std::to_string(s.thread),
-                       std::to_string(s.firstIndex),
-                       std::to_string(s.count), crc});
-    }
-    std::printf("%s", shards.render().c_str());
-    return 0;
+    return {name, metavar, help,
+            [name, &dst, parse](const char *v) { dst = parse(name, v); }};
 }
 
-int
-traceCatMain(const std::string &dir, int argc, char **argv)
+Flag
+variantFlag(const char *help, SystemVariant &dst)
 {
-    unsigned thread = 0;
-    std::uint64_t limit = 32;
-    std::uint64_t start = 0;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--thread") {
-            thread = parseUnsigned("--thread", next());
-        } else if (arg == "--limit") {
-            limit = parseCount("--limit", next());
-        } else if (arg == "--start") {
-            start = parseCount("--start", next());
-        } else {
-            std::fprintf(stderr, "unknown trace cat option '%s'\n",
-                         arg.c_str());
-            return 1;
+    return {"--variant", "V", help, [&dst](const char *v) {
+                dst = parseChoice("variant", "", v, variantFromToken);
+            }};
+}
+
+/**
+ * One entry of the command table: a subcommand, or one verb of a
+ * subcommand group such as `trace record`. Entries of a group are
+ * adjacent and share one help block.
+ */
+struct Command
+{
+    const char *group;             ///< argv[1]: run, profile, trace, ...
+    const char *verb = nullptr;    ///< argv[2] within a group
+    const char *title = nullptr;   ///< group header, on its first entry
+    const char *usage = "";        ///< synopsis after "ppa_cli "
+    const char *summary = "";      ///< what the synopsis line does
+    const char *positional = nullptr; ///< metavar of the positionals
+    unsigned minArgs = 0;          ///< positional arity
+    unsigned maxArgs = 0;
+    std::vector<Flag> flags = {};
+    int (*body)(Options &) = nullptr;
+};
+
+constexpr unsigned kAnyArgs = std::numeric_limits<unsigned>::max();
+
+/** Print "  LEFT  TEXT" with TEXT from column width + 2; a '\n' in
+ *  TEXT continues at that column. */
+void
+printRow(const std::string &left, const char *text, std::size_t width)
+{
+    std::printf("  %s", left.c_str());
+    if (*text)
+        std::printf("%*s", static_cast<int>(left.size() + 2 > width
+                                                 ? 2
+                                                 : width - left.size()),
+                    "");
+    for (; *text; ++text) {
+        std::putchar(*text);
+        if (*text == '\n')
+            std::printf("%*s", static_cast<int>(width + 2), "");
+    }
+    std::putchar('\n');
+}
+
+/** @p group's help block: its header, one synopsis line per entry,
+ *  then each flag once (litmus run and explore share theirs). */
+void
+printGroup(const std::vector<Command> &table, const std::string &group)
+{
+    std::size_t width = 0;
+    for (const Command &c : table)
+        if (group == c.group)
+            width = std::max(width, std::strlen(c.usage));
+    for (const Command &c : table) {
+        if (group != c.group)
+            continue;
+        if (c.title)
+            std::printf("subcommand: %s — %s\n", c.group, c.title);
+        printRow(std::string("ppa_cli ") + c.usage, c.summary, width + 10);
+    }
+    std::vector<std::string> shown;
+    for (const Command &c : table) {
+        if (group != c.group)
+            continue;
+        for (const Flag &f : c.flags) {
+            if (std::find(shown.begin(), shown.end(), f.name) != shown.end())
+                continue;
+            shown.push_back(f.name);
+            printRow(f.metavar ? std::string(f.name) + " " + f.metavar
+                               : std::string(f.name),
+                     f.help, 20);
+        }
+    }
+}
+
+/** `ppa_cli --help`: every group's block. */
+void
+printAll(const std::vector<Command> &table)
+{
+    std::printf("usage: ppa_cli [SUBCOMMAND] [options]\nsubcommands:");
+    const char *sep = " ";
+    for (const Command &c : table) {
+        if (c.title) {
+            std::printf("%s%s", sep, c.group);
+            sep = ", ";
+        }
+    }
+    std::printf(" (run is the default)\n"
+                "flags are grouped by the subcommand they belong to:\n");
+    for (const Command &c : table) {
+        if (c.title) {
+            std::printf("\n");
+            printGroup(table, c.group);
+        }
+    }
+}
+
+[[noreturn]] void
+usageError(const std::vector<Command> &table, const std::string &group,
+           const std::string &message)
+{
+    std::fprintf(stderr, "%s\n", message.c_str());
+    printGroup(table, group);
+    std::exit(1);
+}
+
+bool
+isHelp(const std::string &arg)
+{
+    return arg == "--help" || arg == "-h";
+}
+
+/**
+ * The one argv walk. argv[1] names the group (anything else means the
+ * whole command line is run's), a grouped command names its verb
+ * next, and every remaining argument is a flag fed to its setter or a
+ * positional. --help prints the group's block and exits 0; an unknown
+ * verb or option, a flag without its value, or the wrong number of
+ * positionals prints the error and the block and exits 1.
+ */
+const Command &
+parseCommandLine(const std::vector<Command> &table, int argc, char **argv,
+                 Options &o)
+{
+    int i = 1;
+    std::string group = "run";
+    for (const Command &c : table) {
+        if (argv[1] == std::string(c.group)) {
+            group = argv[i++];
+            break;
         }
     }
 
-    trace::TraceSet set = trace::TraceSet::openOrDie(dir);
-    if (thread >= set.metadata().threads) {
-        std::fprintf(stderr, "trace cat: thread %u out of range (%u)\n",
-                     thread, set.metadata().threads);
-        return 1;
-    }
-    trace::TraceReplaySource src(set, thread);
-    if (start > 0)
-        src.seekTo(start);
-    TextTable t({"index", "pc", "op", "dst", "srcs", "imm", "memAddr",
-                 "taken"});
-    DynInst inst;
-    for (std::uint64_t n = 0; n < limit && src.next(inst); ++n) {
-        char pc[24], mem[24];
-        std::snprintf(pc, sizeof(pc), "0x%llx",
-                      static_cast<unsigned long long>(inst.pc));
-        std::snprintf(mem, sizeof(mem), "0x%llx",
-                      static_cast<unsigned long long>(inst.memAddr));
-        std::string dst = "-";
-        if (inst.dst.valid()) {
-            dst = (inst.dst.cls == RegClass::Fp ? "f" : "r") +
-                  std::to_string(inst.dst.idx);
+    const Command *cmd = nullptr;
+    std::string verbs;
+    for (const Command &c : table) {
+        if (group != c.group)
+            continue;
+        if (!c.verb || (i < argc && argv[i] == std::string(c.verb))) {
+            cmd = &c;
+            break;
         }
-        std::string srcs;
-        for (int s = 0; s < inst.numSrcs(); ++s) {
-            srcs += (s ? "," : "");
-            srcs += (inst.srcs[s].cls == RegClass::Fp ? "f" : "r") +
-                    std::to_string(inst.srcs[s].idx);
+        verbs += (verbs.empty() ? "" : " | ") + std::string(c.verb);
+    }
+    if (!cmd && i < argc && isHelp(argv[i])) {
+        printGroup(table, group);
+        std::exit(0);
+    }
+    if (!cmd && i >= argc)
+        usageError(table, group,
+                   group + ": subcommand required (" + verbs + ")");
+    if (!cmd)
+        usageError(table, group,
+                   "unknown " + group + " subcommand '" + argv[i] + "'");
+    std::string name = group;
+    if (cmd->verb) {
+        name += std::string(" ") + cmd->verb;
+        ++i;
+    }
+
+    for (; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (isHelp(arg)) {
+            printGroup(table, group);
+            std::exit(0);
         }
-        t.addRow({std::to_string(inst.index), pc,
-                  std::string(opName(inst.op)), dst,
-                  srcs.empty() ? std::string("-") : srcs,
-                  std::to_string(inst.imm),
-                  inst.memAddr ? std::string(mem) : std::string("-"),
-                  inst.taken ? std::string("T") : std::string("-")});
+        if (arg.empty() || arg[0] != '-') {
+            o.args.push_back(arg);
+            continue;
+        }
+        auto f = std::find_if(cmd->flags.begin(), cmd->flags.end(),
+                              [&](const Flag &f) { return arg == f.name; });
+        if (f == cmd->flags.end())
+            usageError(table, group,
+                       "unknown " + name + " option '" + arg + "'");
+        if (!f->metavar)
+            f->set(nullptr);
+        else if (i + 1 < argc)
+            f->set(argv[++i]);
+        else
+            usageError(table, group, "missing value for " + arg);
     }
-    std::printf("%s", t.render().c_str());
-    return 0;
-}
-
-int
-traceVerifyMain(const std::string &dir)
-{
-    trace::VerifyResult r = trace::verifyTrace(dir);
-    for (const std::string &e : r.errors)
-        std::fprintf(stderr, "trace verify: %s: %s\n", dir.c_str(),
-                     e.c_str());
-    if (!r.ok) {
-        std::fprintf(stderr, "trace verify: %s: FAILED (%zu error(s))\n",
-                     dir.c_str(), r.errors.size());
-        return 1;
-    }
-    std::printf("trace verify: %s: OK — %llu insts, %u shard(s), "
-                "crc %08x\n",
-                dir.c_str(),
-                static_cast<unsigned long long>(r.totalInsts),
-                r.shardCount, r.combinedCrc);
-    return 0;
-}
-
-int
-traceMain(int argc, char **argv)
-{
-    if (argc < 1) {
-        std::fprintf(stderr,
-                     "trace: subcommand required "
-                     "(record | info | cat | verify)\n");
-        return 1;
-    }
-    std::string cmd = argv[0];
-    if (cmd == "record")
-        return traceRecordMain(argc - 1, argv + 1);
-    if (cmd == "--help" || cmd == "-h") {
-        usageTrace();
-        return 0;
-    }
-    // The remaining subcommands all take the trace directory first.
-    if (argc < 2) {
-        std::fprintf(stderr, "trace %s: trace directory required\n",
-                     cmd.c_str());
-        return 1;
-    }
-    std::string dir = argv[1];
-    if (cmd == "info")
-        return traceInfoMain(dir);
-    if (cmd == "cat")
-        return traceCatMain(dir, argc - 2, argv + 2);
-    if (cmd == "verify")
-        return traceVerifyMain(dir);
-    std::fprintf(stderr, "unknown trace subcommand '%s'\n", cmd.c_str());
-    return 1;
+    if (o.args.size() < cmd->minArgs)
+        usageError(table, group, name + ": missing " + cmd->positional);
+    if (o.args.size() > cmd->maxArgs)
+        usageError(table, group,
+                   name + ": unexpected argument '" +
+                       o.args[cmd->maxArgs] + "'");
+    return *cmd;
 }
 
 void
@@ -966,62 +640,129 @@ printTelemetryProfile(const RunStats &rs)
 }
 
 int
-profileMain(int argc, char **argv)
+runMain(Options &o)
 {
-    std::string app;
-    std::string variant_name = "ppa";
-    std::string tracePath;
-    std::string jsonPath;
-    ExperimentKnobs knobs;
-    knobs.instsPerCore = 50'000;
-    knobs.telemetry = true;
+    ExperimentKnobs &knobs = o.knobs;
+    if (o.list) {
+        TextTable t({"app", "suite", "threads", "store frac",
+                     "working set (MiB)"});
+        for (const auto &p : allProfiles()) {
+            t.addRow({p.name, suiteName(p.suite),
+                      std::to_string(p.defaultThreads),
+                      TextTable::percent(p.fracStore),
+                      TextTable::num(
+                          static_cast<double>(p.workingSetBytes) /
+                              (1024.0 * 1024.0),
+                          1)});
+        }
+        std::printf("%s", t.render().c_str());
+        return 0;
+    }
 
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--variant") {
-            variant_name = next();
-        } else if (arg == "--insts") {
-            knobs.instsPerCore = parsePositiveCount("--insts", next());
-        } else if (arg == "--threads") {
-            knobs.threads = parseUnsigned("--threads", next());
-        } else if (arg == "--seed") {
-            knobs.seed = parseCount("--seed", next());
-        } else if (arg == "--telemetry-sample") {
-            knobs.telemetrySampleCycles =
-                parsePositiveCount("--telemetry-sample", next());
-        } else if (arg == "--telemetry-trace") {
-            tracePath = next();
-        } else if (arg == "--json") {
-            jsonPath = next();
-        } else if (arg == "--help" || arg == "-h") {
-            usageProfile();
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-' && app.empty()) {
-            app = arg;
-        } else {
-            std::fprintf(stderr, "unknown profile option '%s'\n",
-                         arg.c_str());
-            usageProfile();
+    if (!knobs.traceDir.empty()) {
+        // The trace manifest is authoritative for what was recorded:
+        // app, thread count, stream length, and seed all come from it.
+        trace::TraceSet set = trace::TraceSet::openOrDie(knobs.traceDir);
+        const trace::TraceMeta &meta = set.metadata();
+        if (!o.app.empty() && o.app != meta.app) {
+            std::fprintf(stderr,
+                         "--app %s conflicts with trace '%s' (recorded "
+                         "from %s)\n",
+                         o.app.c_str(), knobs.traceDir.c_str(),
+                         meta.app.c_str());
             return 1;
         }
+        if (o.instsGiven && knobs.instsPerCore != meta.instsPerThread) {
+            std::fprintf(stderr,
+                         "--insts %llu conflicts with trace '%s' (%llu "
+                         "insts per thread)\n",
+                         static_cast<unsigned long long>(
+                             knobs.instsPerCore),
+                         knobs.traceDir.c_str(),
+                         static_cast<unsigned long long>(
+                             meta.instsPerThread));
+            return 1;
+        }
+        o.app = meta.app;
+        knobs.threads = meta.threads;
+        knobs.instsPerCore = meta.instsPerThread;
+        knobs.seed = meta.seed;
     }
-    if (app.empty()) {
-        std::fprintf(stderr, "profile: application name required\n");
-        usageProfile();
+    if (o.app.empty()) {
+        std::fprintf(stderr,
+                     "run: --app NAME is required (see ppa_cli --list)\n");
         return 1;
     }
 
-    const WorkloadProfile &profile = profileByName(app);
-    SystemVariant variant = parseVariant(variant_name);
-    RunStats rs = runWorkload(profile, variant, knobs);
+    const WorkloadProfile &profile = profileByName(o.app);
+    if (o.errorBound && knobs.timeParallel < 2) {
+        std::fprintf(stderr,
+                     "--error-bound requires --time-parallel K "
+                     "(K >= 2)\n");
+        return 1;
+    }
+    if (o.errorBound && !knobs.tpFailAt.empty()) {
+        std::fprintf(stderr,
+                     "note: --error-bound compares against a "
+                     "failure-free serial run; --tp-fail effects are "
+                     "part of the reported delta\n");
+    }
+
+    RunStats rs = runWorkload(profile, o.variant, knobs);
+    printStats(rs);
+    if (!o.tracePath.empty()) {
+        if (!obs::writeChromeTrace(rs.telemetry, o.tracePath))
+            return 1;
+        std::printf("wrote %s\n", o.tracePath.c_str());
+    }
+    if (!o.jsonPath.empty()) {
+        if (!metrics::writeFile(o.jsonPath,
+                                metrics::runStatsToJson(rs) + "\n"))
+            return 1;
+        std::printf("wrote %s\n", o.jsonPath.c_str());
+    }
+
+    if (o.errorBound) {
+        // The accuracy contract's empirical side (docs/PERF.md): how
+        // far does the segmented run drift from the unsegmented
+        // serial reference with this warmup length?
+        ExperimentKnobs serialKnobs = knobs;
+        serialKnobs.timeParallel = 0;
+        serialKnobs.tpFailAt.clear();
+        RunStats ref = runWorkload(profile, o.variant, serialKnobs);
+        TextTable t({"stat", "serial", "time-parallel", "rel delta"});
+        double worst = 0.0;
+        for (const StatDelta &d : statDeltas(ref, rs)) {
+            worst = std::max(worst, std::fabs(d.relative()));
+            t.addRow({d.name, TextTable::num(d.serial, 3),
+                      TextTable::num(d.segmented, 3),
+                      TextTable::percent(d.relative(), 2)});
+        }
+        std::printf("\nerror bound vs unsegmented serial run "
+                    "(warmup %llu insts/segment):\n%s"
+                    "worst-case relative delta: %s\n",
+                    static_cast<unsigned long long>(
+                        knobs.tpWarmupInsts),
+                    t.render().c_str(),
+                    TextTable::percent(worst, 2).c_str());
+    }
+
+    if (o.compare && o.variant != SystemVariant::MemoryMode) {
+        ExperimentKnobs base_knobs = knobs;
+        base_knobs.failAtCycles.clear(); // PPA-only mechanism
+        RunStats base =
+            runWorkload(profile, SystemVariant::MemoryMode, base_knobs);
+        std::printf("\nslowdown vs memory-mode baseline: %s\n",
+                    TextTable::factor(slowdown(rs, base)).c_str());
+    }
+    return 0;
+}
+
+int
+profileMain(Options &o)
+{
+    o.knobs.telemetry = true;
+    RunStats rs = runWorkload(profileByName(o.args[0]), o.variant, o.knobs);
 
     TextTable head({"metric", "value"});
     head.addRow({"workload", rs.workload});
@@ -1035,116 +776,275 @@ profileMain(int argc, char **argv)
 
     bool ok = printTelemetryProfile(rs);
 
-    if (!tracePath.empty()) {
-        if (!obs::writeChromeTrace(rs.telemetry, tracePath)) {
+    if (!o.tracePath.empty()) {
+        if (!obs::writeChromeTrace(rs.telemetry, o.tracePath)) {
             std::fprintf(stderr, "profile: cannot write %s\n",
-                         tracePath.c_str());
+                         o.tracePath.c_str());
             return 1;
         }
         std::printf("wrote %s (load in https://ui.perfetto.dev or "
                     "chrome://tracing)\n",
-                    tracePath.c_str());
+                    o.tracePath.c_str());
     }
-    if (!jsonPath.empty()) {
-        if (!metrics::writeFile(jsonPath,
+    if (!o.jsonPath.empty()) {
+        if (!metrics::writeFile(o.jsonPath,
                                 metrics::runStatsToJson(rs) + "\n"))
             return 1;
-        std::printf("wrote %s\n", jsonPath.c_str());
+        std::printf("wrote %s\n", o.jsonPath.c_str());
     }
     return ok ? 0 : 1;
 }
 
 int
-litmusMain(int argc, char **argv)
+traceRecordMain(Options &o)
 {
-    using check::ExploreMode;
-    using check::LitmusOptions;
-    using check::LitmusResult;
-    using check::LitmusTest;
-
-    if (argc < 1) {
-        usageLitmus();
+    if (o.app.empty() || o.traceOut.empty()) {
+        std::fprintf(stderr,
+                     "trace record: --app and --out are required\n");
         return 1;
     }
-    std::string verb = argv[0];
-    if (verb == "--help" || verb == "-h") {
-        usageLitmus();
-        return 0;
-    }
+    trace::TraceSummary s = trace::recordWorkloadTrace(
+        o.traceOut, profileByName(o.app), o.capture);
+    std::printf("recorded %s: %llu insts in %u shard(s), crc %08x\n",
+                o.traceOut.c_str(),
+                static_cast<unsigned long long>(s.totalInsts),
+                s.shardCount, s.combinedCrc);
+    return 0;
+}
 
-    if (verb == "list") {
-        TextTable t({"test", "threads", "stores", "observed", "prefix",
-                     "description"});
-        for (const LitmusTest &test : check::litmusCorpus()) {
-            std::vector<const Program *> progs;
-            for (const Program &p : test.threads)
-                progs.push_back(&p);
-            check::PersistModel model(progs);
-            t.addRow({test.name,
-                      std::to_string(test.threads.size()),
-                      std::to_string(model.totalStores()),
-                      std::to_string(test.observed.size()),
-                      test.prefixCoverage ? "yes" : "no",
-                      test.description});
+int
+traceInfoMain(Options &o)
+{
+    trace::TraceSet set = trace::TraceSet::openOrDie(o.args[0]);
+    const trace::TraceMeta &meta = set.metadata();
+    TextTable t({"field", "value"});
+    t.addRow({"app", meta.app});
+    t.addRow({"seed", std::to_string(meta.seed)});
+    t.addRow({"threads", std::to_string(meta.threads)});
+    t.addRow({"insts / thread", std::to_string(meta.instsPerThread)});
+    t.addRow({"shard insts", std::to_string(meta.shardInsts)});
+    t.addRow({"block insts", std::to_string(meta.blockInsts)});
+    t.addRow({"shards", std::to_string(set.allShards().size())});
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x", set.combinedCrc());
+    t.addRow({"combined crc32", crc});
+    std::printf("%s", t.render().c_str());
+
+    TextTable shards({"file", "thread", "first index", "insts", "crc32"});
+    for (const trace::ShardInfo &s : set.allShards()) {
+        std::snprintf(crc, sizeof(crc), "%08x", s.crc32);
+        shards.addRow({s.file, std::to_string(s.thread),
+                       std::to_string(s.firstIndex),
+                       std::to_string(s.count), crc});
+    }
+    std::printf("%s", shards.render().c_str());
+    return 0;
+}
+
+int
+traceCatMain(Options &o)
+{
+    trace::TraceSet set = trace::TraceSet::openOrDie(o.args[0]);
+    if (o.catThread >= set.metadata().threads) {
+        std::fprintf(stderr, "trace cat: thread %u out of range (%u)\n",
+                     o.catThread, set.metadata().threads);
+        return 1;
+    }
+    trace::TraceReplaySource src(set, o.catThread);
+    if (o.catStart > 0)
+        src.seekTo(o.catStart);
+    TextTable t({"index", "pc", "op", "dst", "srcs", "imm", "memAddr",
+                 "taken"});
+    DynInst inst;
+    for (std::uint64_t n = 0; n < o.catLimit && src.next(inst); ++n) {
+        char pc[24], mem[24];
+        std::snprintf(pc, sizeof(pc), "0x%llx",
+                      static_cast<unsigned long long>(inst.pc));
+        std::snprintf(mem, sizeof(mem), "0x%llx",
+                      static_cast<unsigned long long>(inst.memAddr));
+        std::string dst = "-";
+        if (inst.dst.valid()) {
+            dst = (inst.dst.cls == RegClass::Fp ? "f" : "r") +
+                  std::to_string(inst.dst.idx);
+        }
+        std::string srcs;
+        for (int s = 0; s < inst.numSrcs(); ++s) {
+            srcs += (s ? "," : "");
+            srcs += (inst.srcs[s].cls == RegClass::Fp ? "f" : "r") +
+                    std::to_string(inst.srcs[s].idx);
+        }
+        t.addRow({std::to_string(inst.index), pc,
+                  std::string(opName(inst.op)), dst,
+                  srcs.empty() ? std::string("-") : srcs,
+                  std::to_string(inst.imm),
+                  inst.memAddr ? std::string(mem) : std::string("-"),
+                  inst.taken ? std::string("T") : std::string("-")});
+    }
+    std::printf("%s", t.render().c_str());
+    return 0;
+}
+
+int
+traceVerifyMain(Options &o)
+{
+    const std::string &dir = o.args[0];
+    trace::VerifyResult r = trace::verifyTrace(dir);
+    for (const std::string &e : r.errors)
+        std::fprintf(stderr, "trace verify: %s: %s\n", dir.c_str(),
+                     e.c_str());
+    if (!r.ok) {
+        std::fprintf(stderr, "trace verify: %s: FAILED (%zu error(s))\n",
+                     dir.c_str(), r.errors.size());
+        return 1;
+    }
+    std::printf("trace verify: %s: OK — %llu insts, %u shard(s), "
+                "crc %08x\n",
+                dir.c_str(),
+                static_cast<unsigned long long>(r.totalInsts),
+                r.shardCount, r.combinedCrc);
+    return 0;
+}
+
+int
+sweepMain(Options &o)
+{
+    if (o.list) {
+        TextTable t({"figure", "jobs", "description"});
+        for (const auto &name : figureNames()) {
+            FigureSweep fs = figureSweep(name);
+            t.addRow({fs.name, std::to_string(fs.jobs.size()),
+                      fs.description});
         }
         std::printf("%s", t.render().c_str());
         return 0;
     }
-    if (verb != "run" && verb != "explore") {
-        std::fprintf(stderr, "unknown litmus subcommand '%s'\n",
-                     verb.c_str());
-        usageLitmus();
+    if (o.args.empty()) {
+        std::fprintf(stderr,
+                     "sweep: figure name required (see sweep --list)\n");
+        return 1;
+    }
+    const std::string &figure = o.args[0];
+    if (!figureExists(figure)) {
+        std::fprintf(stderr,
+                     "sweep: unknown figure '%s' (see sweep --list)\n",
+                     figure.c_str());
         return 1;
     }
 
-    LitmusOptions opts;
-    opts.mode = verb == "run" ? ExploreMode::Exhaustive
-                              : ExploreMode::Randomized;
-    bool all = false;
-    bool expectDivergence = false;
-    std::string jsonPath;
-    std::vector<std::string> names;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--all") {
-            all = true;
-        } else if (arg == "--variant") {
-            opts.variant = parseVariant(next());
-        } else if (arg == "--schedules") {
-            opts.schedules = parsePositiveUnsigned("--schedules", next());
-        } else if (arg == "--seed") {
-            opts.seed = parseCount("--seed", next());
-        } else if (arg == "--json") {
-            jsonPath = next();
-        } else if (arg == "--expect-divergence") {
-            expectDivergence = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usageLitmus();
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-') {
-            names.push_back(arg);
-        } else {
-            std::fprintf(stderr, "unknown litmus option '%s'\n",
-                         arg.c_str());
-            usageLitmus();
-            return 1;
+    const FigureSweep fs = figureSweep(figure, o.sweepInsts, o.knobs.seed);
+    // Run-level flags go on a copy: the figure's table reads the
+    // grid's own points.
+    std::vector<SweepJob> runJobs = fs.jobs;
+    for (SweepJob &job : runJobs) {
+        job.knobs.audit |= o.knobs.audit;
+        job.knobs.telemetry |= o.knobs.telemetry;
+    }
+    ExperimentDriver driver(o.jobs);
+    std::fprintf(stderr, "sweep %s: %zu jobs on %u threads — %s\n",
+                 fs.name.c_str(), fs.jobs.size(), driver.workers(),
+                 fs.description.c_str());
+    auto results = driver.run(
+        runJobs,
+        [](const JobResult &r, std::size_t done, std::size_t total) {
+            std::fprintf(stderr, "  [%zu/%zu] %s/%s (%.2fs)\n", done,
+                         total, r.job.profile.name.c_str(),
+                         variantToken(r.job.variant), r.wallSeconds);
+        });
+
+    if (o.knobs.audit) {
+        std::uint64_t events = 0;
+        std::uint64_t violations = 0;
+        for (const JobResult &r : results) {
+            events += r.stats.auditEvents;
+            violations += r.stats.auditViolations;
+            for (const std::string &m : r.stats.auditMessages)
+                std::fprintf(stderr, "  audit: %s\n", m.c_str());
         }
+        std::printf("audit: %llu events, %llu violations\n",
+                    static_cast<unsigned long long>(events),
+                    static_cast<unsigned long long>(violations));
+        if (violations)
+            return 1;
     }
 
+    if (o.knobs.telemetry) {
+        // One Chrome trace per job. Figures re-run the same
+        // (workload, variant) pair under different knobs, so the job
+        // index keeps the filenames unique.
+        std::string traceDir = o.sweepOut + "/" + fs.name + "_telemetry";
+        std::error_code ec;
+        std::filesystem::create_directories(traceDir, ec);
+        for (std::size_t j = 0; j < results.size(); ++j) {
+            const JobResult &r = results[j];
+            std::string path = traceDir + "/" + std::to_string(j) +
+                               "_" + r.job.profile.name + "_" +
+                               variantToken(r.job.variant) +
+                               ".trace.json";
+            if (!obs::writeChromeTrace(r.stats.telemetry, path)) {
+                std::fprintf(stderr, "sweep: cannot write %s\n",
+                             path.c_str());
+                return 1;
+            }
+        }
+        std::printf("wrote %zu telemetry trace(s) under %s\n",
+                    results.size(), traceDir.c_str());
+    }
+
+    const FigureTable table = figureTable(fs, results);
+    std::string jsonPath = o.sweepOut + "/" + fs.name + ".json";
+    if (!metrics::writeFile(
+            jsonPath, metrics::sweepToJson(fs.name, results, table.extras)))
+        return 1;
+    std::printf("wrote %s (%zu jobs)\n", jsonPath.c_str(),
+                results.size());
+    if (o.csv) {
+        std::string csvPath = o.sweepOut + "/" + fs.name + ".csv";
+        if (!metrics::writeFile(csvPath, metrics::sweepToCsv(results)))
+            return 1;
+        std::printf("wrote %s\n", csvPath.c_str());
+    }
+    std::printf("\n%s", table.render().c_str());
+    return 0;
+}
+
+int
+litmusListMain(Options &)
+{
+    TextTable t({"test", "threads", "stores", "observed", "prefix",
+                 "description"});
+    for (const check::LitmusTest &test : check::litmusCorpus()) {
+        std::vector<const Program *> progs;
+        for (const Program &p : test.threads)
+            progs.push_back(&p);
+        check::PersistModel model(progs);
+        t.addRow({test.name,
+                  std::to_string(test.threads.size()),
+                  std::to_string(model.totalStores()),
+                  std::to_string(test.observed.size()),
+                  test.prefixCoverage ? "yes" : "no",
+                  test.description});
+    }
+    std::printf("%s", t.render().c_str());
+    return 0;
+}
+
+/** `litmus run` and `litmus explore`; the mode picks which. */
+int
+litmusCheckMain(Options &o)
+{
+    using check::ExploreMode;
+    using check::LitmusResult;
+    using check::LitmusTest;
+
+    const check::LitmusOptions &opts = o.litmusOpts;
+    const char *verb =
+        opts.mode == ExploreMode::Exhaustive ? "run" : "explore";
     std::vector<const LitmusTest *> tests;
-    if (all) {
+    if (o.all) {
         for (const LitmusTest &t : check::litmusCorpus())
             tests.push_back(&t);
     } else {
-        for (const std::string &name : names) {
+        for (const std::string &name : o.args) {
             const LitmusTest *t = check::findLitmusTest(name);
             if (!t) {
                 std::fprintf(stderr,
@@ -1157,9 +1057,8 @@ litmusMain(int argc, char **argv)
         }
     }
     if (tests.empty()) {
-        std::fprintf(stderr,
-                     "litmus %s: name tests or pass --all\n",
-                     verb.c_str());
+        std::fprintf(stderr, "litmus %s: name tests or pass --all\n",
+                     verb);
         return 1;
     }
 
@@ -1171,8 +1070,7 @@ litmusMain(int argc, char **argv)
     }
 
     std::printf("litmus %s: %zu test(s), variant %s (flavor %s)%s\n",
-                verb.c_str(), tests.size(),
-                variantToken(opts.variant),
+                verb, tests.size(), variantToken(opts.variant),
                 check::flavorName(
                     check::flavorForVariant(opts.variant)),
                 opts.mode == ExploreMode::Randomized
@@ -1214,14 +1112,14 @@ litmusMain(int argc, char **argv)
             std::printf("%s: %s\n", r.test.c_str(), n.c_str());
     }
 
-    if (!jsonPath.empty()) {
-        if (!metrics::writeFile(jsonPath,
+    if (!o.jsonPath.empty()) {
+        if (!metrics::writeFile(o.jsonPath,
                                 check::litmusResultsJson(results, opts)))
             return 1;
-        std::printf("wrote %s\n", jsonPath.c_str());
+        std::printf("wrote %s\n", o.jsonPath.c_str());
     }
 
-    if (expectDivergence && divergences == 0) {
+    if (o.expectDivergence && divergences == 0) {
         std::printf("FAIL: expected at least one strict-model "
                     "divergence, observed none\n");
         return 1;
@@ -1232,32 +1130,9 @@ litmusMain(int argc, char **argv)
 }
 
 int
-fuzzReproMain(int argc, char **argv)
+fuzzReproMain(Options &o)
 {
-    std::string file;
-    bool checkMinimal = false;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--check-minimal")
-            checkMinimal = true;
-        else if (arg == "--help" || arg == "-h") {
-            usageFuzz();
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-' && file.empty())
-            file = arg;
-        else {
-            std::fprintf(stderr, "unknown fuzz repro option '%s'\n",
-                         arg.c_str());
-            usageFuzz();
-            return 1;
-        }
-    }
-    if (file.empty()) {
-        std::fprintf(stderr, "fuzz repro: name a reproducer file\n");
-        usageFuzz();
-        return 1;
-    }
-
+    const std::string &file = o.args[0];
     std::string text;
     if (!metrics::readFile(file, text))
         return 1;
@@ -1286,7 +1161,7 @@ fuzzReproMain(int argc, char **argv)
                 check::flavorName(v.flavor),
                 static_cast<unsigned long long>(found.cycle),
                 static_cast<unsigned long long>(v.cycle));
-    if (checkMinimal) {
+    if (o.checkMinimal) {
         if (!fuzz::isOneMinimal(found, limits, judged)) {
             std::printf("%s: FAIL — a 1-step reduction still "
                         "violates; reproducer is not minimal\n",
@@ -1302,71 +1177,9 @@ fuzzReproMain(int argc, char **argv)
 }
 
 int
-fuzzMain(int argc, char **argv)
+fuzzRunMain(Options &o)
 {
-    if (argc < 1) {
-        usageFuzz();
-        return 1;
-    }
-    std::string verb = argv[0];
-    if (verb == "--help" || verb == "-h") {
-        usageFuzz();
-        return 0;
-    }
-    if (verb == "repro")
-        return fuzzReproMain(argc - 1, argv + 1);
-    if (verb != "run") {
-        std::fprintf(stderr, "unknown fuzz subcommand '%s'\n",
-                     verb.c_str());
-        usageFuzz();
-        return 1;
-    }
-
-    fuzz::CampaignOptions opts;
-    opts.programs = 200;
-    opts.schedules = 16;
-    opts.seed = 1;
-    bool expectDivergence = false;
-    std::string jsonPath;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--variant") {
-            opts.variant = parseVariant(next());
-        } else if (arg == "--programs") {
-            opts.programs = parsePositiveCount("--programs", next());
-        } else if (arg == "--schedules") {
-            opts.schedules = parsePositiveUnsigned("--schedules", next());
-        } else if (arg == "--seed") {
-            opts.seed = parseCount("--seed", next());
-        } else if (arg == "--max-findings") {
-            opts.maxFindings = parseUnsigned("--max-findings", next());
-        } else if (arg == "--corpus-out") {
-            opts.corpusDir = next();
-        } else if (arg == "--trace-out") {
-            opts.traceDir = next();
-        } else if (arg == "--json") {
-            jsonPath = next();
-        } else if (arg == "--expect-divergence") {
-            expectDivergence = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usageFuzz();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown fuzz option '%s'\n",
-                         arg.c_str());
-            usageFuzz();
-            return 1;
-        }
-    }
-
+    const fuzz::CampaignOptions &opts = o.campaign;
     std::string why;
     if (!check::variantSupportsLitmus(opts.variant, &why)) {
         std::fprintf(stderr, "fuzz: variant '%s' unsupported: %s\n",
@@ -1413,17 +1226,17 @@ fuzzMain(int argc, char **argv)
     for (const std::string &n : res.notes)
         std::printf("note: %s\n", n.c_str());
 
-    if (!jsonPath.empty()) {
-        if (!metrics::writeFile(jsonPath, fuzz::campaignJson(res, opts)))
+    if (!o.jsonPath.empty()) {
+        if (!metrics::writeFile(o.jsonPath, fuzz::campaignJson(res, opts)))
             return 1;
-        std::printf("wrote %s\n", jsonPath.c_str());
+        std::printf("wrote %s\n", o.jsonPath.c_str());
     }
 
     bool ok = res.pass();
     for (const fuzz::CampaignFinding &f : res.findings)
         if (f.replayAttempted && !f.replayConfirmed)
             ok = false;
-    if (expectDivergence && res.strictDivergences == 0) {
+    if (o.expectDivergence && res.strictDivergences == 0) {
         std::printf("FAIL: expected at least one strict-forbidden "
                     "state, observed none\n");
         ok = false;
@@ -1434,97 +1247,9 @@ fuzzMain(int argc, char **argv)
 }
 
 int
-serveMain(int argc, char **argv)
+serveMain(Options &o)
 {
-    serve::ServeConfig cfg;
-    std::vector<serve::ServeVariant> variants;
-    std::string jsonPath;
-    std::string tracePath;
-
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            const char *tok = next();
-            if (!serve::serveWorkloadFromToken(tok, cfg.workload)) {
-                std::fprintf(stderr,
-                             "unknown serve workload '%s' (tatp, "
-                             "tpcc, kv)\n",
-                             tok);
-                return 1;
-            }
-        } else if (arg == "--variant") {
-            const char *tok = next();
-            serve::ServeVariant v;
-            if (!serve::serveVariantFromToken(tok, v)) {
-                std::fprintf(stderr,
-                             "unknown serve variant '%s' (ppa, "
-                             "undo-redo-log, delay-free)\n",
-                             tok);
-                return 1;
-            }
-            variants.push_back(v);
-        } else if (arg == "--ops") {
-            cfg.requests = parsePositiveCount("--ops", next());
-        } else if (arg == "--threads") {
-            cfg.threads = parsePositiveUnsigned("--threads", next());
-        } else if (arg == "--keys") {
-            cfg.keys = parsePositiveCount("--keys", next());
-        } else if (arg == "--skew") {
-            cfg.skew = parseNonNegDouble("--skew", next());
-        } else if (arg == "--read-pct") {
-            cfg.readPct = parseUnsigned("--read-pct", next());
-        } else if (arg == "--arrival") {
-            const char *tok = next();
-            if (!serve::arrivalFromToken(tok, cfg.arrival.kind)) {
-                std::fprintf(stderr,
-                             "unknown arrival process '%s' (poisson, "
-                             "bursty)\n",
-                             tok);
-                return 1;
-            }
-        } else if (arg == "--mean-gap") {
-            cfg.arrival.meanGap = static_cast<double>(
-                parsePositiveCount("--mean-gap", next()));
-        } else if (arg == "--burst-factor") {
-            cfg.arrival.burstFactor =
-                parseNonNegDouble("--burst-factor", next());
-        } else if (arg == "--burst-period") {
-            cfg.arrival.period = static_cast<double>(
-                parsePositiveCount("--burst-period", next()));
-        } else if (arg == "--on-fraction") {
-            cfg.arrival.onFraction =
-                parseNonNegDouble("--on-fraction", next());
-        } else if (arg == "--failures") {
-            cfg.failures = parseUnsigned("--failures", next());
-        } else if (arg == "--seed") {
-            cfg.seed = parseCount("--seed", next());
-        } else if (arg == "--workers") {
-            cfg.workers = parseUnsigned("--workers", next());
-        } else if (arg == "--json") {
-            jsonPath = next();
-        } else if (arg == "--telemetry") {
-            cfg.telemetry = true;
-        } else if (arg == "--telemetry-trace") {
-            tracePath = next();
-        } else if (arg == "--help" || arg == "-h") {
-            usageServe();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown serve option '%s'\n",
-                         arg.c_str());
-            usageServe();
-            return 1;
-        }
-    }
-
+    const serve::ServeConfig &cfg = o.serveCfg;
     if (cfg.keys == 0 || (cfg.keys & (cfg.keys - 1)) != 0) {
         std::fprintf(stderr,
                      "--keys must be a power of two, got %llu (see "
@@ -1567,13 +1292,13 @@ serveMain(int argc, char **argv)
             return 1;
         }
     }
-    if (!tracePath.empty() && !cfg.telemetry) {
+    if (!o.tracePath.empty() && !cfg.telemetry) {
         std::fprintf(stderr,
                      "--telemetry-trace requires --telemetry\n");
         return 1;
     }
-    if (variants.empty())
-        variants = serve::allServeVariants();
+    if (o.serveVariants.empty())
+        o.serveVariants = serve::allServeVariants();
 
     std::printf("serve: %llu %s request(s) on %u thread(s), %s "
                 "arrivals (mean gap %g), zipf theta %g, %u failure "
@@ -1584,7 +1309,7 @@ serveMain(int argc, char **argv)
                 cfg.arrival.meanGap, cfg.skew, cfg.failures,
                 static_cast<unsigned long long>(cfg.seed));
 
-    serve::ServeStats stats = serve::runServeStudy(cfg, variants);
+    serve::ServeStats stats = serve::runServeStudy(cfg, o.serveVariants);
 
     auto median = [](std::vector<std::uint64_t> v) -> std::uint64_t {
         if (v.empty())
@@ -1630,19 +1355,415 @@ serveMain(int argc, char **argv)
         }
     }
 
-    if (!tracePath.empty()) {
+    if (!o.tracePath.empty()) {
         if (!obs::writeChromeTrace(stats.variants.front().telemetry,
-                                   tracePath))
+                                   o.tracePath))
             return 1;
-        std::printf("wrote %s\n", tracePath.c_str());
+        std::printf("wrote %s\n", o.tracePath.c_str());
     }
-    if (!jsonPath.empty()) {
-        if (!metrics::writeFile(jsonPath,
+    if (!o.jsonPath.empty()) {
+        if (!metrics::writeFile(o.jsonPath,
                                 serve::serveToJson(stats) + "\n"))
             return 1;
-        std::printf("wrote %s\n", jsonPath.c_str());
+        std::printf("wrote %s\n", o.jsonPath.c_str());
     }
     return ok ? 0 : 1;
+}
+
+/**
+ * The command table: every subcommand with its synopsis, positional
+ * arity and flags, whose setters write into @p o. Its order is the
+ * order of `ppa_cli --help`.
+ */
+std::vector<Command>
+commandTable(Options &o)
+{
+    ExperimentKnobs &k = o.knobs;
+    serve::ServeConfig &s = o.serveCfg;
+    const Flag insts{"--insts", "N",
+                     "committed instructions per core (default 50000)",
+                     [&o](const char *v) {
+                         o.knobs.instsPerCore =
+                             parsePositiveCount("--insts", v);
+                         o.instsGiven = true;
+                     }};
+    const Flag threads = number("--threads", "N",
+                                "thread/core count (default: profile)",
+                                k.threads, parseUnsigned);
+    const Flag seed = number("--seed", "N", "workload seed (default 42)",
+                             k.seed, parseCount);
+    const std::vector<Flag> litmusFlags = {
+        toggle("--all", "run the whole corpus", o.all),
+        variantFlag("system variant to crash-observe (default: ppa; "
+                    "memory-mode\nand replaycache are judged against "
+                    "their own model flavors)",
+                    o.litmusOpts.variant),
+        number("--schedules", "N",
+               "explore: crash points to sample per test (default 64)",
+               o.litmusOpts.schedules, parsePositiveUnsigned),
+        number("--seed", "N", "explore: crash-schedule RNG seed (default 1)",
+               o.litmusOpts.seed, parseCount),
+        text("--json", "FILE",
+             "write the conformance verdicts as JSON "
+             "(tools/litmus_report.py\naggregates results/litmus_*.json)",
+             o.jsonPath),
+        toggle("--expect-divergence",
+               "fail unless at least one observed outcome diverges from "
+               "the\nstrict PPA model (baseline discrimination proof)",
+               o.expectDivergence),
+    };
+
+    return {
+        {.group = "run",
+         .title = "simulate one application (the default subcommand)",
+         .usage = "[run] --app NAME [options]",
+         .flags = {
+             toggle("--list", "list the modeled applications", o.list),
+             text("--app", "NAME",
+                  "application to run (required unless --list)", o.app),
+             variantFlag("memory-mode | ppa | capri | replaycache |\n"
+                         "eadr-bbb | dram-only (default: ppa)",
+                         o.variant),
+             insts,
+             threads,
+             number("--csq", "N", "CSQ entries (default 40)", k.csqEntries,
+                    parsePositiveUnsigned),
+             number("--int-prf", "N", "integer PRF entries (default 180)",
+                    k.intPrf, parsePositiveUnsigned),
+             number("--fp-prf", "N", "FP PRF entries (default 168)",
+                    k.fpPrf, parsePositiveUnsigned),
+             number("--wpq", "N", "WPQ entries per controller (default 16)",
+                    k.wpqEntries, parsePositiveUnsigned),
+             number("--bw", "G", "NVM write bandwidth GB/s (default 2.3)",
+                    k.nvmWriteGbps, parsePositiveDouble),
+             toggle("--l3", "add an L3 between L2 and DRAM cache",
+                    k.l3Cache),
+             seed,
+             toggle("--compare",
+                    "also run the memory-mode baseline and report the "
+                    "slowdown",
+                    o.compare),
+             toggle("--audit",
+                    "attach the persistence-invariant auditors (ppa "
+                    "variant)",
+                    k.audit),
+             {"--fail-at-cycle", "N",
+              "inject a power failure at cycle N and recover through the\n"
+              "serialized checkpoint (repeatable; ppa variant)",
+              [&k](const char *v) {
+                  k.failAtCycles.push_back(
+                      parsePositiveCount("--fail-at-cycle", v));
+              }},
+             text("--trace", "DIR",
+                  "replay a recorded trace instead of the generator; "
+                  "threads,\ninsts, seed and app come from the manifest",
+                  k.traceDir),
+             number("--time-parallel", "K",
+                    "split this one run into K instruction segments and "
+                    "simulate\nthem concurrently (docs/PERF.md; not "
+                    "replaycache)",
+                    k.timeParallel, parseUnsigned),
+             number("--warmup-insts", "N",
+                    "per-segment warmup prefix in instructions, discarded "
+                    "while\nmicroarchitectural state re-converges (default "
+                    "2000)",
+                    k.tpWarmupInsts, parseCount),
+             number("--sampled", "N",
+                    "SimPoint-style sampling: simulate only every Nth "
+                    "segment and\nextrapolate, reporting a confidence "
+                    "estimate (default 1)",
+                    k.tpSampleStride, parsePositiveUnsigned),
+             number("--tp-workers", "N",
+                    "host threads for segment execution (0 = hardware); "
+                    "results\nare identical for any value",
+                    k.tpWorkers, parseUnsigned),
+             {"--tp-fail", "S:C",
+              "inject a power failure in segment S once its measured "
+              "window\nhas run C cycles (C=0 = exactly at the segment "
+              "join;\nrepeatable; ppa variant)",
+              [&k](const char *v) {
+                  k.tpFailAt.push_back(parseSegmentFailure(v));
+              }},
+             toggle("--error-bound",
+                    "also run the unsegmented serial reference and report "
+                    "the\nper-stat warmup-truncation delta (requires "
+                    "--time-parallel)",
+                    o.errorBound),
+             text("--json", "FILE",
+                  "also write the run's RunStats JSON to FILE", o.jsonPath),
+             toggle("--telemetry",
+                    "attach the in-run telemetry collector "
+                    "(docs/TELEMETRY.md):\nsampled counter series, "
+                    "region/power timelines, and\nstall attribution land "
+                    "in stats.telemetry",
+                    k.telemetry),
+             {"--telemetry-sample", "N",
+              "counter-series sampling period in cycles (default 256;\n"
+              "implies --telemetry)",
+              [&k](const char *v) {
+                  k.telemetrySampleCycles =
+                      parsePositiveCount("--telemetry-sample", v);
+                  k.telemetry = true;
+              }},
+             {"--telemetry-trace", "FILE",
+              "write a Chrome trace-event JSON of the run, loadable\n"
+              "in Perfetto / chrome://tracing (implies --telemetry)",
+              [&o](const char *v) {
+                  o.tracePath = v;
+                  o.knobs.telemetry = true;
+              }},
+         },
+         .body = runMain},
+
+        {.group = "profile",
+         .title = "run with telemetry and print where the cycles went",
+         .usage = "profile APP [options]",
+         .positional = "APP", .minArgs = 1, .maxArgs = 1,
+         .flags = {
+             variantFlag("system variant (default: ppa)", o.variant),
+             insts,
+             threads,
+             seed,
+             number("--telemetry-sample", "N",
+                    "counter-series sampling period in cycles (default 256)",
+                    k.telemetrySampleCycles, parsePositiveCount),
+             text("--telemetry-trace", "FILE",
+                  "also write the Chrome trace-event JSON", o.tracePath),
+             text("--json", "FILE",
+                  "also write the run's RunStats JSON (with "
+                  "stats.telemetry)",
+                  o.jsonPath),
+         },
+         .body = profileMain},
+
+        {.group = "trace", .verb = "record",
+         .title = "record/inspect committed-stream traces",
+         .usage = "trace record [options]",
+         .summary = "record a workload's committed stream",
+         .flags = {
+             text("--app", "NAME", "record: application to record (required)",
+                  o.app),
+             text("--out", "DIR",
+                  "record: trace directory to write (required)", o.traceOut),
+             number("--insts", "N",
+                    "record: committed instructions per thread (default "
+                    "50000)",
+                    o.capture.instsPerThread, parsePositiveCount),
+             number("--seed", "N", "record: workload seed (default 42)",
+                    o.capture.seed, parseCount),
+             number("--threads", "N",
+                    "record: thread count (default: profile)",
+                    o.capture.threads, parseUnsigned),
+             number("--shard-insts", "N",
+                    "record: instructions per shard file (default 262144)",
+                    o.capture.shardInsts, parsePositiveCount),
+             number("--block-insts", "N",
+                    "record: instructions per seekable block (default 4096)",
+                    o.capture.blockInsts, parsePositiveUnsigned),
+         },
+         .body = traceRecordMain},
+        {.group = "trace", .verb = "info", .usage = "trace info DIR",
+         .summary = "print the manifest and shard table",
+         .positional = "DIR", .minArgs = 1, .maxArgs = 1,
+         .body = traceInfoMain},
+        {.group = "trace", .verb = "cat", .usage = "trace cat DIR [options]",
+         .summary = "dump records as text",
+         .positional = "DIR", .minArgs = 1, .maxArgs = 1,
+         .flags = {
+             number("--thread", "T", "cat: thread to dump (default 0)",
+                    o.catThread, parseUnsigned),
+             number("--limit", "N", "cat: records to print (default 32)",
+                    o.catLimit, parseCount),
+             number("--start", "I", "cat: first instruction index (default 0)",
+                    o.catStart, parseCount),
+         },
+         .body = traceCatMain},
+        {.group = "trace", .verb = "verify", .usage = "trace verify DIR",
+         .summary = "check manifest, CRCs, and decode every block",
+         .positional = "DIR", .minArgs = 1, .maxArgs = 1,
+         .body = traceVerifyMain},
+
+        {.group = "sweep",
+         .title = "run one figure's full grid in parallel and print its "
+                  "table",
+         .usage = "sweep FIGURE [options]",
+         .positional = "FIGURE", .maxArgs = 1,
+         .flags = {
+             toggle("--list", "list the available figure sweeps", o.list),
+             number("--jobs", "N", "driver worker threads (default: hardware)",
+                    o.jobs, parseUnsigned),
+             number("--insts", "N",
+                    "committed instructions per core (default: figure's "
+                    "own)",
+                    o.sweepInsts, parseCount),
+             seed,
+             text("--out", "DIR",
+                  "output directory (default: $PPA_RESULTS_DIR or results)",
+                  o.sweepOut),
+             toggle("--csv", "also write FIGURE.csv next to the JSON", o.csv),
+             toggle("--audit",
+                    "run every ppa-variant job with the invariant auditors "
+                    "attached",
+                    k.audit),
+             toggle("--telemetry",
+                    "run every job with telemetry attached and write one "
+                    "Chrome\ntrace per job under FIGURE_telemetry/",
+                    k.telemetry),
+         },
+         .body = sweepMain},
+
+        {.group = "litmus", .verb = "list",
+         .title = "persistency-model conformance checks (docs/CHECKING.md)",
+         .usage = "litmus list", .summary = "show the litmus corpus",
+         .body = litmusListMain},
+        {.group = "litmus", .verb = "run",
+         .usage = "litmus run [TEST...] [options]",
+         .summary = "exhaustive crash-point enumeration",
+         .positional = "TEST", .maxArgs = kAnyArgs, .flags = litmusFlags,
+         .body = litmusCheckMain},
+        {.group = "litmus", .verb = "explore",
+         .usage = "litmus explore [TEST...] [options]",
+         .summary = "auditor-biased randomized crashes",
+         .positional = "TEST", .maxArgs = kAnyArgs, .flags = litmusFlags,
+         .body = [](Options &opts) {
+             opts.litmusOpts.mode = check::ExploreMode::Randomized;
+             return litmusCheckMain(opts);
+         }},
+
+        {.group = "fuzz", .verb = "run",
+         .title = "crash-consistency fuzzing campaign (docs/FUZZING.md)",
+         .usage = "fuzz run [options]",
+         .summary = "generate programs, crash them, judge, shrink",
+         .flags = {
+             variantFlag("variant to crash-observe (default: ppa)",
+                         o.campaign.variant),
+             number("--programs", "N",
+                    "generated programs per campaign (default 200)",
+                    o.campaign.programs, parsePositiveCount),
+             number("--schedules", "N",
+                    "biased crash points per program (default 16)",
+                    o.campaign.schedules, parsePositiveUnsigned),
+             number("--seed", "N",
+                    "campaign seed; results are bitwise reproducible from "
+                    "it\n(default 1)",
+                    o.campaign.seed, parseCount),
+             number("--max-findings", "N",
+                    "offending programs to record, replay, and shrink "
+                    "(default 4)",
+                    o.campaign.maxFindings, parseUnsigned),
+             text("--corpus-out", "DIR",
+                  "write minimal reproducers here as .litmus files",
+                  o.campaign.corpusDir),
+             text("--trace-out", "DIR",
+                  "record findings as traces here and confirm them by "
+                  "replay",
+                  o.campaign.traceDir),
+             text("--json", "FILE",
+                  "write the campaign verdict as JSON "
+                  "(tools/fuzz_report.py\naggregates)",
+                  o.jsonPath),
+             toggle("--expect-divergence",
+                    "fail unless the campaign found at least one\n"
+                    "strict-forbidden state",
+                    o.expectDivergence),
+         },
+         .body = fuzzRunMain},
+        {.group = "fuzz", .verb = "repro", .usage = "fuzz repro FILE [options]",
+         .summary = "re-judge a minimal reproducer file",
+         .positional = "FILE", .minArgs = 1, .maxArgs = 1,
+         .flags = {toggle("--check-minimal",
+                          "repro: also verify the reproducer is 1-minimal",
+                          o.checkMinimal)},
+         .body = fuzzReproMain},
+
+        {.group = "serve",
+         .title = "open-loop transaction-serving study (docs/SERVING.md)",
+         .usage = "serve [options]",
+         .summary = "drive Zipfian request streams against each durability\n"
+                    "variant and compare tail latency, throughput,\n"
+                    "recovery time, and data loss",
+         .flags = {
+             {"--workload", "W", "tatp | tpcc | kv (default tatp)",
+              [&s](const char *v) {
+                  s.workload = parseChoice("serve workload",
+                                           " (tatp, tpcc, kv)", v,
+                                           serve::serveWorkloadFromToken);
+              }},
+             {"--variant", "V",
+              "serve variant: ppa, undo-redo-log, delay-free;\n"
+              "repeatable (default: all three)",
+              [&o](const char *v) {
+                  o.serveVariants.push_back(parseChoice(
+                      "serve variant", " (ppa, undo-redo-log, delay-free)",
+                      v, serve::serveVariantFromToken));
+              }},
+             number("--ops", "N",
+                    "total requests across all threads (default 1000000)",
+                    s.requests, parsePositiveCount),
+             number("--threads", "N",
+                    "server cores / request streams (default 2)", s.threads,
+                    parsePositiveUnsigned),
+             number("--keys", "N",
+                    "per-thread key-space size; a power of two <= 65536\n"
+                    "(default 4096)",
+                    s.keys, parsePositiveCount),
+             number("--skew", "S",
+                    "Zipfian theta, non-negative; 0 = uniform (default 0.99)",
+                    s.skew, parseNonNegDouble),
+             number("--read-pct", "N",
+                    "kv workload GET percentage, 0..100 (default 50)",
+                    s.readPct, parseUnsigned),
+             {"--arrival", "A",
+              "arrival process: poisson | bursty (default poisson)",
+              [&s](const char *v) {
+                  s.arrival.kind = parseChoice("arrival process",
+                                               " (poisson, bursty)", v,
+                                               serve::arrivalFromToken);
+              }},
+             {"--mean-gap", "N",
+              "mean inter-arrival gap per stream in cycles (default 256)",
+              [&s](const char *v) {
+                  s.arrival.meanGap = static_cast<double>(
+                      parsePositiveCount("--mean-gap", v));
+              }},
+             number("--burst-factor", "F",
+                    "bursty: on-phase rate multiplier (default 4)",
+                    s.arrival.burstFactor, parseNonNegDouble),
+             {"--burst-period", "N",
+              "bursty: square-wave period in cycles (default 65536)",
+              [&s](const char *v) {
+                  s.arrival.period = static_cast<double>(
+                      parsePositiveCount("--burst-period", v));
+              }},
+             number("--on-fraction", "F",
+                    "bursty: fraction of each period in the on phase,\n"
+                    "in (0, 1) (default 0.25)",
+                    s.arrival.onFraction, parseNonNegDouble),
+             number("--failures", "N",
+                    "injected power-failure points per variant (default 8)",
+                    s.failures, parseUnsigned),
+             number("--seed", "N",
+                    "root seed; the whole study is bitwise reproducible\n"
+                    "from it (default 42)",
+                    s.seed, parseCount),
+             number("--workers", "N",
+                    "host threads for failure branches; any value yields\n"
+                    "identical output (default: hardware parallelism)",
+                    s.workers, parseUnsigned),
+             text("--json", "FILE",
+                  "write the study as JSON (tools/serve_report.py renders "
+                  "it)",
+                  o.jsonPath),
+             toggle("--telemetry",
+                    "collect in-run telemetry and request spans per variant",
+                    s.telemetry),
+             text("--telemetry-trace", "FILE",
+                  "write the first variant's Chrome trace (needs "
+                  "--telemetry)",
+                  o.tracePath),
+         },
+         .body = serveMain},
+    };
 }
 
 } // namespace
@@ -1650,231 +1771,11 @@ serveMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
-        return sweepMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "trace") == 0)
-        return traceMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "profile") == 0)
-        return profileMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "litmus") == 0)
-        return litmusMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "fuzz") == 0)
-        return fuzzMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-        return serveMain(argc - 2, argv + 2);
-    // An explicit "run" selects the default mode.
-    int shift = argc > 1 && std::strcmp(argv[1], "run") == 0 ? 1 : 0;
-    argc -= shift;
-    argv += shift;
-
-    std::string app;
-    std::string variant_name = "ppa";
-    std::string jsonPath;
-    std::string telemetryTracePath;
-    ExperimentKnobs knobs;
-    knobs.instsPerCore = 50'000;
-    bool compare = false;
-    bool instsGiven = false;
-    bool errorBound = false;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            TextTable t({"app", "suite", "threads", "store frac",
-                         "working set (MiB)"});
-            for (const auto &p : allProfiles()) {
-                t.addRow({p.name, suiteName(p.suite),
-                          std::to_string(p.defaultThreads),
-                          TextTable::percent(p.fracStore),
-                          TextTable::num(
-                              static_cast<double>(p.workingSetBytes) /
-                                  (1024.0 * 1024.0),
-                              1)});
-            }
-            std::printf("%s", t.render().c_str());
-            return 0;
-        } else if (arg == "--app") {
-            app = next();
-        } else if (arg == "--variant") {
-            variant_name = next();
-        } else if (arg == "--insts") {
-            knobs.instsPerCore = parsePositiveCount("--insts", next());
-            instsGiven = true;
-        } else if (arg == "--threads") {
-            knobs.threads = parseUnsigned("--threads", next());
-        } else if (arg == "--csq") {
-            knobs.csqEntries = parsePositiveUnsigned("--csq", next());
-        } else if (arg == "--int-prf") {
-            knobs.intPrf = parsePositiveUnsigned("--int-prf", next());
-        } else if (arg == "--fp-prf") {
-            knobs.fpPrf = parsePositiveUnsigned("--fp-prf", next());
-        } else if (arg == "--wpq") {
-            knobs.wpqEntries = parsePositiveUnsigned("--wpq", next());
-        } else if (arg == "--bw") {
-            knobs.nvmWriteGbps = parsePositiveDouble("--bw", next());
-        } else if (arg == "--l3") {
-            knobs.l3Cache = true;
-        } else if (arg == "--seed") {
-            knobs.seed = parseCount("--seed", next());
-        } else if (arg == "--compare") {
-            compare = true;
-        } else if (arg == "--audit") {
-            knobs.audit = true;
-        } else if (arg == "--fail-at-cycle") {
-            knobs.failAtCycles.push_back(
-                parsePositiveCount("--fail-at-cycle", next()));
-        } else if (arg == "--trace") {
-            knobs.traceDir = next();
-        } else if (arg == "--time-parallel") {
-            knobs.timeParallel = parseUnsigned("--time-parallel", next());
-        } else if (arg == "--warmup-insts") {
-            knobs.tpWarmupInsts = parseCount("--warmup-insts", next());
-        } else if (arg == "--sampled") {
-            knobs.tpSampleStride = parsePositiveUnsigned("--sampled", next());
-        } else if (arg == "--tp-workers") {
-            knobs.tpWorkers = parseUnsigned("--tp-workers", next());
-        } else if (arg == "--tp-fail") {
-            const std::string spec = next();
-            auto colon = spec.find(':');
-            if (colon == std::string::npos) {
-                std::fprintf(stderr,
-                             "--tp-fail wants SEGMENT:CYCLE, got "
-                             "'%s'\n",
-                             spec.c_str());
-                return 1;
-            }
-            ExperimentKnobs::SegmentFailure f;
-            f.segment = parseUnsigned(
-                "--tp-fail segment", spec.substr(0, colon).c_str());
-            f.cycle = parseCount("--tp-fail cycle",
-                                 spec.substr(colon + 1).c_str());
-            knobs.tpFailAt.push_back(f);
-        } else if (arg == "--telemetry") {
-            knobs.telemetry = true;
-        } else if (arg == "--telemetry-sample") {
-            knobs.telemetrySampleCycles =
-                parsePositiveCount("--telemetry-sample", next());
-            knobs.telemetry = true;
-        } else if (arg == "--telemetry-trace") {
-            telemetryTracePath = next();
-            knobs.telemetry = true;
-        } else if (arg == "--error-bound") {
-            errorBound = true;
-        } else if (arg == "--json") {
-            jsonPath = next();
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage();
-            return 1;
-        }
+    Options o;
+    const std::vector<Command> table = commandTable(o);
+    if (argc < 2 || isHelp(argv[1])) {
+        printAll(table);
+        return argc < 2 ? 1 : 0;
     }
-
-    if (!knobs.traceDir.empty()) {
-        // The trace manifest is authoritative for what was recorded:
-        // app, thread count, stream length, and seed all come from it.
-        trace::TraceSet set = trace::TraceSet::openOrDie(knobs.traceDir);
-        const trace::TraceMeta &meta = set.metadata();
-        if (!app.empty() && app != meta.app) {
-            std::fprintf(stderr,
-                         "--app %s conflicts with trace '%s' (recorded "
-                         "from %s)\n",
-                         app.c_str(), knobs.traceDir.c_str(),
-                         meta.app.c_str());
-            return 1;
-        }
-        if (instsGiven && knobs.instsPerCore != meta.instsPerThread) {
-            std::fprintf(stderr,
-                         "--insts %llu conflicts with trace '%s' (%llu "
-                         "insts per thread)\n",
-                         static_cast<unsigned long long>(
-                             knobs.instsPerCore),
-                         knobs.traceDir.c_str(),
-                         static_cast<unsigned long long>(
-                             meta.instsPerThread));
-            return 1;
-        }
-        app = meta.app;
-        knobs.threads = meta.threads;
-        knobs.instsPerCore = meta.instsPerThread;
-        knobs.seed = meta.seed;
-    }
-    if (app.empty()) {
-        usage();
-        return 1;
-    }
-
-    const WorkloadProfile &profile = profileByName(app);
-    SystemVariant variant = parseVariant(variant_name);
-    if (errorBound && knobs.timeParallel < 2) {
-        std::fprintf(stderr,
-                     "--error-bound requires --time-parallel K "
-                     "(K >= 2)\n");
-        return 1;
-    }
-    if (errorBound && !knobs.tpFailAt.empty()) {
-        std::fprintf(stderr,
-                     "note: --error-bound compares against a "
-                     "failure-free serial run; --tp-fail effects are "
-                     "part of the reported delta\n");
-    }
-
-    RunStats rs = runWorkload(profile, variant, knobs);
-    printStats(rs);
-    if (!telemetryTracePath.empty()) {
-        if (!obs::writeChromeTrace(rs.telemetry, telemetryTracePath))
-            return 1;
-        std::printf("wrote %s\n", telemetryTracePath.c_str());
-    }
-    if (!jsonPath.empty()) {
-        if (!metrics::writeFile(jsonPath,
-                                metrics::runStatsToJson(rs) + "\n"))
-            return 1;
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
-
-    if (errorBound) {
-        // The accuracy contract's empirical side (docs/PERF.md): how
-        // far does the segmented run drift from the unsegmented
-        // serial reference with this warmup length?
-        ExperimentKnobs serialKnobs = knobs;
-        serialKnobs.timeParallel = 0;
-        serialKnobs.tpFailAt.clear();
-        RunStats ref = runWorkload(profile, variant, serialKnobs);
-        TextTable t({"stat", "serial", "time-parallel", "rel delta"});
-        double worst = 0.0;
-        for (const StatDelta &d : statDeltas(ref, rs)) {
-            worst = std::max(worst, std::fabs(d.relative()));
-            t.addRow({d.name, TextTable::num(d.serial, 3),
-                      TextTable::num(d.segmented, 3),
-                      TextTable::percent(d.relative(), 2)});
-        }
-        std::printf("\nerror bound vs unsegmented serial run "
-                    "(warmup %llu insts/segment):\n%s"
-                    "worst-case relative delta: %s\n",
-                    static_cast<unsigned long long>(
-                        knobs.tpWarmupInsts),
-                    t.render().c_str(),
-                    TextTable::percent(worst, 2).c_str());
-    }
-
-    if (compare && variant != SystemVariant::MemoryMode) {
-        ExperimentKnobs base_knobs = knobs;
-        base_knobs.failAtCycles.clear(); // PPA-only mechanism
-        RunStats base =
-            runWorkload(profile, SystemVariant::MemoryMode, base_knobs);
-        std::printf("\nslowdown vs memory-mode baseline: %s\n",
-                    TextTable::factor(slowdown(rs, base)).c_str());
-    }
-    return 0;
+    return parseCommandLine(table, argc, argv, o).body(o);
 }
