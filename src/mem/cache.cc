@@ -7,21 +7,32 @@
 namespace ppa
 {
 
-Cache::Cache(const CacheParams &p, const char *name)
-    : params(p), cacheName(name)
+namespace
 {
-    PPA_ASSERT(std::has_single_bit(std::uint64_t{params.lineBytes}),
+
+std::size_t
+setCount(const CacheParams &p, const char *name)
+{
+    PPA_ASSERT(std::has_single_bit(std::uint64_t{p.lineBytes}),
                "line size must be a power of two");
-    PPA_ASSERT(params.assoc > 0, "associativity must be positive");
-    numSets = params.sizeBytes / (params.lineBytes * params.assoc);
-    PPA_ASSERT(numSets > 0, cacheName, ": size too small");
-    PPA_ASSERT(std::has_single_bit(std::uint64_t{numSets}),
-               cacheName, ": set count must be a power of two");
-    lineShift = static_cast<unsigned>(
-        std::countr_zero(std::uint64_t{params.lineBytes}));
-    setShift = static_cast<unsigned>(
-        std::countr_zero(std::uint64_t{numSets}));
-    lines.assign(numSets * params.assoc, Line{});
+    PPA_ASSERT(p.assoc > 0, "associativity must be positive");
+    std::size_t sets = p.sizeBytes / (p.lineBytes * p.assoc);
+    PPA_ASSERT(sets > 0, name, ": size too small");
+    PPA_ASSERT(std::has_single_bit(std::uint64_t{sets}),
+               name, ": set count must be a power of two");
+    return sets;
+}
+
+} // namespace
+
+Cache::Cache(const CacheParams &p, const char *name)
+    : params(p), numSets(setCount(p, name)),
+      lineShift(static_cast<unsigned>(
+          std::countr_zero(std::uint64_t{p.lineBytes}))),
+      setShift(static_cast<unsigned>(
+          std::countr_zero(std::uint64_t{numSets}))),
+      lines(numSets * p.assoc)
+{
 }
 
 std::size_t
@@ -48,31 +59,24 @@ Cache::setBase(std::size_t set_index) const
     return &lines[set_index * params.assoc];
 }
 
-CacheAccessResult
-Cache::access(Addr addr, bool is_write)
+const Cache::Line *
+Cache::find(const Line *set, Addr tag) const
 {
-    std::size_t si = setIndex(addr);
-    Line *set = setBase(si);
-    Addr tag = tagOf(addr);
-
     for (unsigned w = 0; w < params.assoc; ++w) {
-        Line &line = set[w];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = ++stampCounter;
-            if (is_write)
-                line.dirty = true;
-            statHits.inc();
-            return {true, std::nullopt};
-        }
+        if (lines.valid(set[w]) && set[w].tag == tag)
+            return &set[w];
     }
+    return nullptr;
+}
 
-    statMisses.inc();
-
-    // Fill: choose the LRU way (preferring invalid ways).
+std::optional<Addr>
+Cache::fill(std::size_t si, Addr tag, bool dirty)
+{
+    Line *set = setBase(si);
     Line *victim = &set[0];
     for (unsigned w = 0; w < params.assoc; ++w) {
         Line &line = set[w];
-        if (!line.valid) {
+        if (!lines.valid(line)) {
             victim = &line;
             break;
         }
@@ -81,86 +85,56 @@ Cache::access(Addr addr, bool is_write)
     }
 
     std::optional<Addr> dirty_victim;
-    if (victim->valid && victim->dirty)
+    if (lines.valid(*victim) && victim->dirty)
         dirty_victim = ((victim->tag << setShift) | si) << lineShift;
 
+    lines.validate(*victim);
     victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = is_write;
+    victim->dirty = dirty;
     victim->lruStamp = ++stampCounter;
-    return {false, dirty_victim};
+    return dirty_victim;
+}
+
+CacheAccessResult
+Cache::access(Addr addr, bool is_write)
+{
+    std::size_t si = setIndex(addr);
+    Addr tag = tagOf(addr);
+    if (Line *line = find(setBase(si), tag)) {
+        line->lruStamp = ++stampCounter;
+        if (is_write)
+            line->dirty = true;
+        statHits.inc();
+        return {true, std::nullopt};
+    }
+    statMisses.inc();
+    return {false, fill(si, tag, is_write)};
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    const Line *set = setBase(setIndex(addr));
-    Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return true;
-    }
-    return false;
+    return find(setBase(setIndex(addr)), tagOf(addr)) != nullptr;
 }
 
 std::optional<Addr>
 Cache::insertWriteback(Addr line_addr, bool dirty)
 {
     std::size_t si = setIndex(line_addr);
-    Line *set = setBase(si);
     Addr tag = tagOf(line_addr);
-
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        Line &line = set[w];
-        if (line.valid && line.tag == tag) {
-            line.dirty = line.dirty || dirty;
-            line.lruStamp = ++stampCounter;
-            return std::nullopt;
-        }
+    if (Line *line = find(setBase(si), tag)) {
+        line->dirty = line->dirty || dirty;
+        line->lruStamp = ++stampCounter;
+        return std::nullopt;
     }
-
-    Line *victim = &set[0];
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        Line &line = set[w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lruStamp < victim->lruStamp)
-            victim = &line;
-    }
-
-    std::optional<Addr> dirty_victim;
-    if (victim->valid && victim->dirty)
-        dirty_victim = ((victim->tag << setShift) | si) << lineShift;
-
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lruStamp = ++stampCounter;
-    return dirty_victim;
+    return fill(si, tag, dirty);
 }
 
 void
 Cache::cleanLine(Addr addr)
 {
-    Line *set = setBase(setIndex(addr));
-    Addr tag = tagOf(addr);
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            set[w].dirty = false;
-            return;
-        }
-    }
-}
-
-void
-Cache::invalidateAll()
-{
-    for (Line &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    if (Line *line = find(setBase(setIndex(addr)), tagOf(addr)))
+        line->dirty = false;
 }
 
 std::vector<Addr>
@@ -171,7 +145,7 @@ Cache::dirtyLines() const
         const Line *set = setBase(si);
         for (unsigned w = 0; w < params.assoc; ++w) {
             const Line &line = set[w];
-            if (line.valid && line.dirty) {
+            if (lines.valid(line) && line.dirty) {
                 dirty.push_back(((line.tag << setShift) | si)
                                 << lineShift);
             }

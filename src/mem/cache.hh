@@ -14,10 +14,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/line_array.hh"
 #include "mem/params.hh"
 
 namespace ppa
@@ -63,8 +65,8 @@ class Cache
     /** Clear a line's dirty bit (after its data has been persisted). */
     void cleanLine(Addr addr);
 
-    /** Invalidate every line, dirty or not (a power failure). */
-    void invalidateAll();
+    /** Invalidate every line, dirty or not (a power failure); O(1). */
+    void invalidateAll() { lines.invalidateAll(); }
 
     /** All currently dirty line addresses (for final drain). */
     std::vector<Addr> dirtyLines() const;
@@ -89,26 +91,39 @@ class Cache
     }
 
   private:
+    /** Tag, dirty and lruStamp mean something only while the line is
+     *  valid in its LineArray. */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lruStamp = 0;
+        Addr tag;
+        std::uint64_t lruStamp;
+        std::uint32_t epoch;
+        bool dirty;
     };
+    static_assert(sizeof(Line) == 24);
 
     std::size_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
     Line *setBase(std::size_t set_index);
     const Line *setBase(std::size_t set_index) const;
+    /** The valid way of @p set holding @p tag, or null. */
+    const Line *find(const Line *set, Addr tag) const;
+    Line *
+    find(Line *set, Addr tag)
+    {
+        return const_cast<Line *>(std::as_const(*this).find(set, tag));
+    }
+    /** Fill @p tag into set @p si's first invalid way, else its LRU
+     *  way; returns the victim's address when it was dirty. */
+    std::optional<Addr> fill(std::size_t si, Addr tag, bool dirty);
 
     CacheParams params;
-    const char *cacheName;
     std::size_t numSets;
     unsigned lineShift;   // log2(lineBytes)
     unsigned setShift;    // log2(numSets)
-    /** All lines in one contiguous array, @c assoc per set. */
-    std::vector<Line> lines;
+    /** All lines in one contiguous array, @c assoc per set; the
+     *  per-thread pool holds a one-core System's L1I, L1D and L2. */
+    LineArray<Line, 3> lines;
     std::uint64_t stampCounter = 0;
 
     stats::Counter statHits;

@@ -7,18 +7,30 @@
 namespace ppa
 {
 
-DramCache::DramCache(const DramCacheParams &p) : params(p)
+namespace
 {
-    PPA_ASSERT(std::has_single_bit(std::uint64_t{params.lineBytes}),
+
+std::size_t
+setCount(const DramCacheParams &p)
+{
+    PPA_ASSERT(std::has_single_bit(std::uint64_t{p.lineBytes}),
                "DRAM cache line size must be a power of two");
-    numSets = params.sizeBytes / params.lineBytes;
-    PPA_ASSERT(std::has_single_bit(std::uint64_t{numSets}),
+    std::size_t sets = p.sizeBytes / p.lineBytes;
+    PPA_ASSERT(std::has_single_bit(std::uint64_t{sets}),
                "DRAM cache set count must be a power of two");
-    lineShift = static_cast<unsigned>(
-        std::countr_zero(std::uint64_t{params.lineBytes}));
-    setShift = static_cast<unsigned>(
-        std::countr_zero(std::uint64_t{numSets}));
-    lines.assign(numSets, Line{});
+    return sets;
+}
+
+} // namespace
+
+DramCache::DramCache(const DramCacheParams &p)
+    : params(p), numSets(setCount(p)),
+      lineShift(static_cast<unsigned>(
+          std::countr_zero(std::uint64_t{p.lineBytes}))),
+      setShift(static_cast<unsigned>(
+          std::countr_zero(std::uint64_t{numSets}))),
+      lines(numSets)
+{
 }
 
 std::size_t
@@ -38,19 +50,20 @@ DramCache::access(Addr addr, bool is_write)
 {
     Line &line = lines[setIndex(addr)];
     Addr tag = tagOf(addr);
+    bool valid = lines.valid(line);
 
-    if (line.valid && line.tag == tag) {
+    if (valid && line.tag == tag) {
         if (is_write)
             line.dirty = true;
         statHits.inc();
         return {true, std::nullopt};
     }
 
-    if (!line.valid && params.warmStart) {
+    if (!valid && params.warmStart) {
         // First touch of this set: the fast-forward phase already
         // brought the line in (see DramCacheParams::warmStart).
+        lines.validate(line);
         line.tag = tag;
-        line.valid = true;
         line.dirty = is_write;
         statHits.inc();
         return {true, std::nullopt};
@@ -58,12 +71,12 @@ DramCache::access(Addr addr, bool is_write)
 
     statMisses.inc();
     std::optional<Addr> dirty_victim;
-    if (line.valid && line.dirty) {
+    if (valid && line.dirty) {
         dirty_victim = ((line.tag << setShift) | setIndex(addr))
                        << lineShift;
     }
+    lines.validate(line);
     line.tag = tag;
-    line.valid = true;
     line.dirty = is_write;
     return {false, dirty_victim};
 }
@@ -72,14 +85,14 @@ bool
 DramCache::contains(Addr addr) const
 {
     const Line &line = lines[setIndex(addr)];
-    return line.valid && line.tag == tagOf(addr);
+    return lines.valid(line) && line.tag == tagOf(addr);
 }
 
 void
 DramCache::updateIfPresent(Addr addr)
 {
     Line &line = lines[setIndex(addr)];
-    if (line.valid && line.tag == tagOf(addr)) {
+    if (lines.valid(line) && line.tag == tagOf(addr)) {
         // A persist wrote the NVM copy; the cached copy is now clean
         // relative to NVM.
         line.dirty = false;
@@ -90,7 +103,7 @@ void
 DramCache::cleanLine(Addr addr)
 {
     Line &line = lines[setIndex(addr)];
-    if (line.valid && line.tag == tagOf(addr))
+    if (lines.valid(line) && line.tag == tagOf(addr))
         line.dirty = false;
 }
 
@@ -100,19 +113,10 @@ DramCache::dirtyLines() const
     std::vector<Addr> out;
     for (std::size_t si = 0; si < numSets; ++si) {
         const Line &line = lines[si];
-        if (line.valid && line.dirty)
+        if (lines.valid(line) && line.dirty)
             out.push_back(((line.tag << setShift) | si) << lineShift);
     }
     return out;
-}
-
-void
-DramCache::invalidateAll()
-{
-    for (auto &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-    }
 }
 
 } // namespace ppa

@@ -19,6 +19,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
+#include "mem/line_array.hh"
 #include "mem/params.hh"
 
 namespace ppa
@@ -49,8 +50,8 @@ class DramCache
     /** All dirty line addresses (final drain / eADR-style flush). */
     std::vector<Addr> dirtyLines() const;
 
-    /** Drop all contents (power loss: DRAM is volatile). */
-    void invalidateAll();
+    /** Drop all contents (power loss: DRAM is volatile); O(1). */
+    void invalidateAll() { lines.invalidateAll(); }
 
     Cycle hitLatency() const { return params.hitLatency; }
     Addr lineAlign(Addr addr) const
@@ -62,12 +63,15 @@ class DramCache
     std::uint64_t misses() const { return statMisses.value(); }
 
   private:
+    /** Tag and dirty mean something only while the line is valid in
+     *  its LineArray. */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
+        Addr tag;
+        std::uint32_t epoch;
+        bool dirty;
     };
+    static_assert(sizeof(Line) == 16);
 
     std::size_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
@@ -76,7 +80,8 @@ class DramCache
     std::size_t numSets;
     unsigned lineShift;
     unsigned setShift;
-    std::vector<Line> lines;
+    /** One line per set; a System has one DRAM cache. */
+    LineArray<Line, 1> lines;
 
     stats::Counter statHits;
     stats::Counter statMisses;

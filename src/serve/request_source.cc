@@ -68,7 +68,20 @@ RequestSource::RequestSource(const RequestStreamConfig &config)
                cfg.keys);
     PPA_ASSERT(cfg.readPct <= 100, "read_pct must be 0..100");
     PPA_ASSERT(cfg.ackAddr != 0, "serve stream needs an ack word");
-    hist.resize(historyCap);
+    // A ring freed by an earlier source may hold its instructions, but
+    // next() and seekTo() only reach indices this source has pushed.
+    if (auto freed = HistoryPool::take([](const std::vector<DynInst> &h) {
+            return h.size() == historyCap;
+        }))
+        hist = std::move(*freed);
+    else
+        hist.resize(historyCap);
+}
+
+RequestSource::~RequestSource()
+{
+    if (hist.size() == historyCap)
+        HistoryPool::give(std::move(hist));
 }
 
 void

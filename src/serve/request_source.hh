@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/recycler.hh"
 #include "common/rng.hh"
 #include "isa/arch.hh"
 #include "isa/source.hh"
@@ -83,6 +84,7 @@ class RequestSource : public DynInstSource
     static constexpr std::uint64_t historyCap = 1u << 15;
 
     explicit RequestSource(const RequestStreamConfig &config);
+    ~RequestSource() override;
 
     bool next(DynInst &out) override;
     void seekTo(std::uint64_t index) override;
@@ -121,6 +123,10 @@ class RequestSource : public DynInstSource
 
     ArchState state;
     MemImage mem;
+
+    /** Freed history rings; a serving run has one source per core,
+     *  and its failure branches run beside the measured run. */
+    using HistoryPool = Recycler<std::vector<DynInst>, 4>;
 
     /** Circular history of the last historyCap instructions. */
     std::vector<DynInst> hist;

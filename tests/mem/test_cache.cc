@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <random>
+#include <thread>
+
 #include "mem/cache.hh"
 
 using namespace ppa;
@@ -15,6 +20,22 @@ smallCache()
     // 4 KiB, 2-way, 64 B lines -> 32 sets.
     return CacheParams{4 * 1024, 2, 64, 3};
 }
+
+/** Run @p fn on a new thread, whose tag-array pools start empty. */
+template <class Fn>
+void
+onFreshThread(Fn fn)
+{
+    std::thread(fn).join();
+}
+
+/** A line with an 8-bit epoch, so a test can reach the wrap. */
+struct TinyLine
+{
+    std::uint64_t tag;
+    std::uint8_t epoch;
+    bool dirty;
+};
 
 } // namespace
 
@@ -134,4 +155,133 @@ TEST(Cache, Table2Geometries)
     Cache l2(CacheParams{1024 * 1024, 16, 64, 44});
     EXPECT_EQ(l1.hitLatency(), 4u);
     EXPECT_EQ(l2.hitLatency(), 44u);
+}
+
+TEST(Cache, ReusedArrayMatchesFreshAllocationInLockstep)
+{
+    // A pooled array keeps the tags, dirty bits and large LRU stamps
+    // of the cache that freed it; none of it may leak into the cache
+    // that takes it. 4 KiB, 4-way -> 16 sets, driven over 32 KiB.
+    const CacheParams geom{4 * 1024, 4, 64, 3};
+    onFreshThread([&] {
+        std::mt19937_64 rng(7);
+        auto addr = [&] { return (rng() % 512) * 64 + rng() % 64; };
+        {
+            Cache prior(geom);
+            for (int i = 0; i < 2'000; ++i)
+                prior.access(addr(), true);
+            prior.invalidateAll();
+            for (int i = 0; i < 2'000; ++i)
+                prior.insertWriteback(prior.lineAlign(addr()), true);
+        } // freed: its array goes to this thread's pool
+        Cache reused(geom); // takes the pooled array
+        Cache fresh(geom);  // the pool is empty again: a new array
+        for (int step = 0; step < 20'000; ++step) {
+            Addr a = addr();
+            switch (rng() % 4) {
+              case 0:
+              case 1: {
+                bool w = rng() % 2;
+                CacheAccessResult x = reused.access(a, w);
+                CacheAccessResult y = fresh.access(a, w);
+                ASSERT_EQ(x.hit, y.hit) << "step " << step;
+                ASSERT_EQ(x.dirtyVictim, y.dirtyVictim) << "step " << step;
+                break;
+              }
+              case 2: {
+                bool d = rng() % 2;
+                ASSERT_EQ(reused.insertWriteback(reused.lineAlign(a), d),
+                          fresh.insertWriteback(fresh.lineAlign(a), d))
+                    << "step " << step;
+                break;
+              }
+              default:
+                reused.cleanLine(a);
+                fresh.cleanLine(a);
+            }
+            if (step % 5'000 == 4'999) {
+                reused.invalidateAll();
+                fresh.invalidateAll();
+            }
+            ASSERT_EQ(reused.contains(a), fresh.contains(a))
+                << "step " << step;
+            ASSERT_EQ(reused.dirtyLines(), fresh.dirtyLines())
+                << "step " << step;
+        }
+        EXPECT_EQ(reused.hits(), fresh.hits());
+        EXPECT_EQ(reused.misses(), fresh.misses());
+    });
+}
+
+TEST(LineArray, FreedArrayIsReusedWithNoValidLine)
+{
+    onFreshThread([] {
+        using Array = LineArray<TinyLine, 1>;
+        const TinyLine *storage = nullptr;
+        {
+            Array a(8);
+            storage = &a[0];
+            for (std::size_t i = 0; i < a.size(); ++i)
+                a.validate(a[i]);
+        }
+        Array b(8);
+        EXPECT_EQ(&b[0], storage);
+        for (std::size_t i = 0; i < b.size(); ++i)
+            EXPECT_FALSE(b.valid(b[i])) << "line " << i;
+        Array c(8); // the one pooled array is taken: a new one
+        EXPECT_NE(&c[0], storage);
+        Array d(4); // another size never takes it
+        EXPECT_NE(&d[0], storage);
+    });
+}
+
+TEST(LineArray, EpochWrapClearsStaleLines)
+{
+    // An 8-bit epoch runs 1..255 and skips 0, so the 255th
+    // invalidation brings it back to 1; without the clear on wrap, a
+    // line stamped at 1 would be valid again.
+    onFreshThread([] {
+        LineArray<TinyLine, 1> a(4);
+        a.validate(a[0]);
+        a[0].dirty = true;
+        for (int i = 0; i < 254; ++i)
+            a.invalidateAll();
+        a.validate(a[1]); // epoch 255, the last before the wrap
+        a.invalidateAll();       // wraps: every line is cleared
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_FALSE(a.valid(a[i])) << "line " << i;
+            EXPECT_FALSE(a[i].dirty) << "line " << i;
+        }
+        for (int i = 0; i < 256; ++i) {
+            a.invalidateAll();
+            ASSERT_FALSE(a.valid(a[0]));
+            ASSERT_FALSE(a.valid(a[1]));
+        }
+        a.validate(a[2]);
+        EXPECT_TRUE(a.valid(a[2]));
+    });
+}
+
+TEST(LineArray, PooledArrayWrapsOnReuse)
+{
+    // A freed array whose epoch is at the top of its range wraps when
+    // the next array of its size takes it.
+    onFreshThread([] {
+        using Array = LineArray<TinyLine, 1>;
+        {
+            Array a(4);
+            for (int i = 0; i < 254; ++i)
+                a.invalidateAll();
+            for (std::size_t i = 0; i < a.size(); ++i)
+                a.validate(a[i]); // epoch 255
+        }
+        Array b(4);
+        for (std::size_t i = 0; i < b.size(); ++i)
+            EXPECT_EQ(b[i].epoch, 0) << "line " << i;
+        for (int i = 0; i < 255; ++i) {
+            b.invalidateAll();
+            for (std::size_t l = 0; l < b.size(); ++l)
+                ASSERT_FALSE(b.valid(b[l])) << "line " << l;
+        }
+    });
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <thread>
+
 #include "mem/dram_cache.hh"
 
 using namespace ppa;
@@ -97,4 +100,62 @@ TEST(DramCache, HitLatencyConfigured)
 {
     DramCache d(smallDramCache());
     EXPECT_EQ(d.hitLatency(), 100u);
+}
+
+TEST(DramCache, ReusedArrayMatchesFreshAllocationInLockstep)
+{
+    // A pooled array keeps the tags and dirty bits of the cache that
+    // freed it. With warmStart, a stale line read as valid would turn
+    // a first-touch hit into a miss with a dirty victim. Runs on a new
+    // thread, whose pool starts empty.
+    for (bool warm : {true, false}) {
+        std::thread([warm] {
+            DramCacheParams p = smallDramCache();
+            p.warmStart = warm;
+            std::mt19937_64 rng(11);
+            auto addr = [&] { return (rng() % 4096) * 64 + rng() % 64; };
+            {
+                DramCache prior(p);
+                for (int i = 0; i < 4'000; ++i)
+                    prior.access(addr(), true);
+                prior.invalidateAll();
+                for (int i = 0; i < 4'000; ++i)
+                    prior.access(addr(), true);
+            } // freed: its array goes to this thread's pool
+            DramCache reused(p); // takes the pooled array
+            DramCache fresh(p);  // the pool is empty again: a new array
+            for (int step = 0; step < 20'000; ++step) {
+                Addr a = addr();
+                switch (rng() % 4) {
+                  case 0:
+                  case 1: {
+                    bool w = rng() % 2;
+                    CacheAccessResult x = reused.access(a, w);
+                    CacheAccessResult y = fresh.access(a, w);
+                    ASSERT_EQ(x.hit, y.hit) << "step " << step;
+                    ASSERT_EQ(x.dirtyVictim, y.dirtyVictim)
+                        << "step " << step;
+                    break;
+                  }
+                  case 2:
+                    reused.updateIfPresent(a);
+                    fresh.updateIfPresent(a);
+                    break;
+                  default:
+                    reused.cleanLine(a);
+                    fresh.cleanLine(a);
+                }
+                if (step % 5'000 == 4'999) {
+                    reused.invalidateAll();
+                    fresh.invalidateAll();
+                }
+                ASSERT_EQ(reused.contains(a), fresh.contains(a))
+                    << "step " << step;
+                ASSERT_EQ(reused.dirtyLines(), fresh.dirtyLines())
+                    << "step " << step;
+            }
+            EXPECT_EQ(reused.hits(), fresh.hits()) << "warm " << warm;
+            EXPECT_EQ(reused.misses(), fresh.misses()) << "warm " << warm;
+        }).join();
+    }
 }

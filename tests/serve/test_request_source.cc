@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "isa/semantics.hh"
@@ -188,4 +189,38 @@ TEST(RequestSource, SeekDoesNotPerturbGeneration)
     }
     for (std::size_t i = 0; i < got.size(); ++i)
         expectSameInst(got[i], expect[64 + i], 64 + i);
+}
+
+TEST(RequestSource, RecycledHistoryRingMatchesFreshRing)
+{
+    // A freed source's history ring goes to a per-thread pool and the
+    // next source takes it, stale instructions included. Reads and
+    // backward seeks must only ever see this source's own pushes. Runs
+    // on a new thread, whose pool starts empty.
+    std::thread([] {
+        {
+            RequestStreamConfig other = smallConfig(ServeWorkload::Kv);
+            other.seed = 77;
+            other.requests = 4'000;
+            RequestSource prior(other);
+            drain(prior);
+        } // freed: its ring goes to this thread's pool
+        RequestSource reused(smallConfig(ServeWorkload::Tpcc));
+        RequestSource fresh(smallConfig(ServeWorkload::Tpcc));
+        auto read = [](RequestSource &src) {
+            std::vector<DynInst> out;
+            DynInst di;
+            for (int i = 0; i < 240 && src.next(di); ++i)
+                out.push_back(di);
+            src.seekTo(0);
+            for (DynInst &d : drain(src))
+                out.push_back(d);
+            return out;
+        };
+        std::vector<DynInst> x = read(reused);
+        std::vector<DynInst> y = read(fresh);
+        ASSERT_EQ(x.size(), y.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            expectSameInst(x[i], y[i], i);
+    }).join();
 }

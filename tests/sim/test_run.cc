@@ -8,8 +8,11 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "sim/report.hh"
 #include "sim/run.hh"
 #include "workload/profile.hh"
 
@@ -88,4 +91,58 @@ TEST(Run, ArmedFailuresFireOncePerCycleInOrder)
     EXPECT_EQ(rs.replayAudits, 3u);
     EXPECT_EQ(rs.replayMismatches, 0u);
     EXPECT_TRUE(run.system().allDone());
+}
+
+TEST(Run, PooledTagArraysCarryNoStateBetweenRuns)
+{
+    // Cache and DRAM-cache tag arrays freed by one run are reused by
+    // the next run on the same thread. Runs of 1, 2 and 4 cores, with
+    // power failures, recovery and replay audits on ppa, must give the
+    // stats of a run on a new thread (whose pool starts empty), in
+    // sequence on one thread and on 4 workers.
+    struct Job
+    {
+        const char *app;
+        unsigned threads;
+        SystemVariant variant;
+    };
+    const std::vector<Job> jobs = {
+        {"gcc", 1, SystemVariant::Ppa},
+        {"barnes", 2, SystemVariant::Ppa},
+        {"barnes", 4, SystemVariant::Ppa},
+        {"gcc", 1, SystemVariant::MemoryMode},
+        {"barnes", 2, SystemVariant::MemoryMode},
+        {"barnes", 4, SystemVariant::MemoryMode},
+    };
+    auto stats = [&](std::size_t j) {
+        ExperimentKnobs k;
+        k.instsPerCore = 3'000;
+        k.threads = jobs[j].threads;
+        if (jobs[j].variant == SystemVariant::Ppa) {
+            k.audit = true;
+            k.failAtCycles = {1'500, 4'000};
+        }
+        RunStats rs =
+            runWorkload(profileByName(jobs[j].app), jobs[j].variant, k);
+        EXPECT_EQ(rs.powerFailures, k.failAtCycles.size()) << "job " << j;
+        return metrics::runStatsToJson(rs);
+    };
+
+    std::vector<std::string> fresh(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        std::thread([&, j] { fresh[j] = stats(j); }).join();
+
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            EXPECT_EQ(stats(j), fresh[j])
+                << "round " << round << " job " << j;
+    }
+
+    const std::size_t repeats = 3;
+    std::vector<std::string> pooled(jobs.size() * repeats);
+    sim::runIndexed(4, pooled.size(), [&](std::size_t i) {
+        pooled[i] = stats(i % jobs.size());
+    });
+    for (std::size_t i = 0; i < pooled.size(); ++i)
+        EXPECT_EQ(pooled[i], fresh[i % jobs.size()]) << "index " << i;
 }

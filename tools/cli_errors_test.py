@@ -18,6 +18,7 @@ Exit status 0 when every case behaves as specified, 1 otherwise.
 """
 
 import argparse
+import re
 import subprocess
 import sys
 
@@ -89,9 +90,17 @@ CASES = [
     (["sweep", "fig11", "--insts", "abc"],
      "--insts wants an unsigned integer"),
     (["sweep", "fig11", "--seed", "12x"], "--seed wants an unsigned integer"),
-    # litmus numerics share the same parser.
-    (["litmus", "run", "--schedules", "0"], "--schedules must be positive"),
-    (["litmus", "run", "--seed", ""], "--seed wants an unsigned integer"),
+    # litmus numerics share the same parser; --schedules and --seed
+    # belong to explore only.
+    (["litmus", "explore", "--schedules", "0"],
+     "--schedules must be positive"),
+    (["litmus", "explore", "--seed", ""], "--seed wants an unsigned integer"),
+    (["litmus", "run", "mp", "--schedules", "5"],
+     "unknown litmus run option '--schedules'"),
+    (["litmus", "run", "mp", "--seed", "9"],
+     "unknown litmus run option '--seed'"),
+    (["litmus", "run", "mp", "--all"],
+     "name tests or pass --all, not both"),
     # structural errors: unknown verbs, unreadable reproducers.
     (["fuzz", "bogus"], "unknown fuzz subcommand"),
     (["fuzz", "repro", "/nonexistent/ppa-fuzz-missing.litmus"],
@@ -115,6 +124,10 @@ CASES = [
     (["serve", "--arrival", "bursty", "--burst-factor", "8",
       "--on-fraction", "0.5"],
      "--burst-factor times --on-fraction must be at most 1"),
+    # the bursty-only knobs are rejected, not ignored, under Poisson.
+    (["serve", "--ops", "200", "--failures", "1", "--workers", "1",
+      "--on-fraction", "7", "--burst-factor", "9"],
+     "--on-fraction applies only to --arrival bursty"),
     (["serve", "--telemetry-trace", "/tmp/x.json"],
      "--telemetry-trace requires --telemetry"),
     # stray positionals are rejected, not ignored.
@@ -128,22 +141,32 @@ CASES = [
     (["serve", "--ops"], "missing value for --ops"),
 ]
 
-# (argv suffix, required header). Every command answers --help with
-# exit 0 and its subcommand's help block.
-HELP_CASES = [
-    (["run", "--help"], "subcommand: run"),
-    (["profile", "--help"], "subcommand: profile"),
-    (["trace", "--help"], "subcommand: trace"),
-    (["trace", "record", "--help"], "subcommand: trace"),
+# Help invocations the --help listing cannot name: a verb's --help
+# after its positional. The rest come from help_cases().
+EXTRA_HELP_CASES = [
     (["trace", "cat", "/nonexistent/ppa-trace", "--help"],
      "subcommand: trace"),
-    (["sweep", "--help"], "subcommand: sweep"),
-    (["litmus", "--help"], "subcommand: litmus"),
-    (["litmus", "run", "--help"], "subcommand: litmus"),
-    (["fuzz", "--help"], "subcommand: fuzz"),
-    (["fuzz", "repro", "--help"], "subcommand: fuzz"),
-    (["serve", "--help"], "subcommand: serve"),
 ]
+
+
+def help_cases(cli):
+    """(argv suffix, required header) for every subcommand and verb that
+    `ppa_cli --help` lists: each must answer --help with exit 0 and its
+    subcommand's help block. A new command is covered automatically."""
+    proc = subprocess.run([cli, "--help"], stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, timeout=60)
+    cases = []
+    for line in proc.stdout.splitlines():
+        m = re.match(r"subcommand: (\S+)", line)
+        if m:
+            group = m.group(1)
+            cases.append(([group, "--help"], f"subcommand: {group}"))
+            continue
+        m = re.match(r"  ppa_cli (\S+) ([a-z]+)\b", line)
+        if m and cases and m.group(1) == cases[-1][0][0]:
+            cases.append(([m.group(1), m.group(2), "--help"],
+                          f"subcommand: {m.group(1)}"))
+    return cases + EXTRA_HELP_CASES
 
 
 def run_case(cli, argv, needle, want_success=False):
@@ -180,7 +203,10 @@ def main():
         err = run_case(args.cli, argv, needle)
         if err:
             problems.append(err)
-    for argv, header in HELP_CASES:
+    helps = help_cases(args.cli)
+    if len(helps) == len(EXTRA_HELP_CASES):
+        problems.append("ppa_cli --help lists no subcommand")
+    for argv, header in helps:
         err = run_case(args.cli, argv, header, want_success=True)
         if err:
             problems.append(err)
@@ -190,7 +216,7 @@ def main():
     if problems:
         return 1
     print(f"cli_errors_test: OK — {len(CASES)} malformed invocations "
-          f"all rejected with diagnostics, {len(HELP_CASES)} --help "
+          f"all rejected with diagnostics, {len(helps)} --help "
           "invocations answered")
     return 0
 

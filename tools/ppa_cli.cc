@@ -242,6 +242,8 @@ struct Options
 
     serve::ServeConfig serveCfg;
     std::vector<serve::ServeVariant> serveVariants;
+    /** The first bursty-only serve flag given, if any. */
+    std::string burstFlag;
 };
 
 /** One flag: its help line and the setter that parses its value. */
@@ -1040,6 +1042,13 @@ litmusCheckMain(Options &o)
     const char *verb =
         opts.mode == ExploreMode::Exhaustive ? "run" : "explore";
     std::vector<const LitmusTest *> tests;
+    if (o.all && !o.args.empty()) {
+        std::fprintf(stderr,
+                     "litmus %s: --all runs the whole corpus; name tests "
+                     "or pass --all, not both\n",
+                     verb);
+        return 1;
+    }
     if (o.all) {
         for (const LitmusTest &t : check::litmusCorpus())
             tests.push_back(&t);
@@ -1269,6 +1278,12 @@ serveMain(Options &o)
                      cfg.readPct);
         return 1;
     }
+    if (cfg.arrival.kind != serve::ArrivalKind::Bursty &&
+        !o.burstFlag.empty()) {
+        std::fprintf(stderr, "%s applies only to --arrival bursty\n",
+                     o.burstFlag.c_str());
+        return 1;
+    }
     if (cfg.arrival.kind == serve::ArrivalKind::Bursty) {
         if (cfg.arrival.onFraction <= 0.0 ||
             cfg.arrival.onFraction >= 1.0) {
@@ -1398,11 +1413,6 @@ commandTable(Options &o)
                     "memory-mode\nand replaycache are judged against "
                     "their own model flavors)",
                     o.litmusOpts.variant),
-        number("--schedules", "N",
-               "explore: crash points to sample per test (default 64)",
-               o.litmusOpts.schedules, parsePositiveUnsigned),
-        number("--seed", "N", "explore: crash-schedule RNG seed (default 1)",
-               o.litmusOpts.seed, parseCount),
         text("--json", "FILE",
              "write the conformance verdicts as JSON "
              "(tools/litmus_report.py\naggregates results/litmus_*.json)",
@@ -1411,6 +1421,24 @@ commandTable(Options &o)
                "fail unless at least one observed outcome diverges from "
                "the\nstrict PPA model (baseline discrimination proof)",
                o.expectDivergence),
+    };
+    std::vector<Flag> exploreFlags = litmusFlags;
+    exploreFlags.push_back(
+        number("--schedules", "N",
+               "explore: crash points to sample per test (default 64)",
+               o.litmusOpts.schedules, parsePositiveUnsigned));
+    exploreFlags.push_back(
+        number("--seed", "N", "explore: crash-schedule RNG seed (default 1)",
+               o.litmusOpts.seed, parseCount));
+    // A bursty-only serve flag notes its name, so serveMain can reject
+    // it under Poisson arrivals instead of ignoring it.
+    auto burstyOnly = [&o](Flag f) {
+        f.set = [&o, name = f.name, set = std::move(f.set)](const char *v) {
+            set(v);
+            if (o.burstFlag.empty())
+                o.burstFlag = name;
+        };
+        return f;
     };
 
     return {
@@ -1624,7 +1652,7 @@ commandTable(Options &o)
         {.group = "litmus", .verb = "explore",
          .usage = "litmus explore [TEST...] [options]",
          .summary = "auditor-biased randomized crashes",
-         .positional = "TEST", .maxArgs = kAnyArgs, .flags = litmusFlags,
+         .positional = "TEST", .maxArgs = kAnyArgs, .flags = exploreFlags,
          .body = [](Options &opts) {
              opts.litmusOpts.mode = check::ExploreMode::Randomized;
              return litmusCheckMain(opts);
@@ -1726,19 +1754,21 @@ commandTable(Options &o)
                   s.arrival.meanGap = static_cast<double>(
                       parsePositiveCount("--mean-gap", v));
               }},
-             number("--burst-factor", "F",
-                    "bursty: on-phase rate multiplier (default 4)",
-                    s.arrival.burstFactor, parseNonNegDouble),
-             {"--burst-period", "N",
-              "bursty: square-wave period in cycles (default 65536)",
-              [&s](const char *v) {
-                  s.arrival.period = static_cast<double>(
-                      parsePositiveCount("--burst-period", v));
-              }},
-             number("--on-fraction", "F",
-                    "bursty: fraction of each period in the on phase,\n"
-                    "in (0, 1) (default 0.25)",
-                    s.arrival.onFraction, parseNonNegDouble),
+             burstyOnly(number("--burst-factor", "F",
+                               "bursty: on-phase rate multiplier (default "
+                               "4)",
+                               s.arrival.burstFactor, parseNonNegDouble)),
+             burstyOnly({"--burst-period", "N",
+                         "bursty: square-wave period in cycles (default "
+                         "65536)",
+                         [&s](const char *v) {
+                             s.arrival.period = static_cast<double>(
+                                 parsePositiveCount("--burst-period", v));
+                         }}),
+             burstyOnly(number("--on-fraction", "F",
+                               "bursty: fraction of each period in the on "
+                               "phase,\nin (0, 1) (default 0.25)",
+                               s.arrival.onFraction, parseNonNegDouble)),
              number("--failures", "N",
                     "injected power-failure points per variant (default 8)",
                     s.failures, parseUnsigned),
