@@ -1244,7 +1244,7 @@ Core::architecturalState() const
 }
 
 CheckpointImage
-Core::powerFail()
+Core::checkpoint() const
 {
     CheckpointImage image;
     if (cfg.mode == PersistMode::Ppa) {
@@ -1275,7 +1275,13 @@ Core::powerFail()
             save_reg(cls, regIndexer.indexOf(entry.physRegIndex));
         }
     }
+    return image;
+}
 
+CheckpointImage
+Core::powerFail()
+{
+    CheckpointImage image = checkpoint();
     if (auditObs)
         auditObs->onPowerFail(image);
     if (telemHook)
@@ -1343,17 +1349,8 @@ Core::recover(const CheckpointImage &image)
     }
 
     // (2) Replay the committed stores, front to rear (idempotent).
-    for (const auto &entry : csq.contents()) {
-        if (entry.carriesValue) {
-            memory.recoveryWrite(entry.addr, entry.value);
-        } else if (entry.physRegIndex == csqZeroRegIndex) {
-            memory.recoveryWrite(entry.addr, 0);
-        } else {
-            RegClass cls = regIndexer.classOf(entry.physRegIndex);
-            PhysReg p = regIndexer.indexOf(entry.physRegIndex);
-            memory.recoveryWrite(entry.addr, prf(cls).value(p));
-        }
-    }
+    forEachReplayWrite(
+        [this](Addr addr, Word value) { memory.recoveryWrite(addr, value); });
 
     // (3) Populate the RAT with the restored CRT.
     intRat.restoreRaw(image.crtInt);

@@ -99,10 +99,16 @@ class Core
     std::uint64_t committedStores() const { return storeCommitCount; }
 
     /**
-     * Power failure: JIT-checkpoint the five PPA structures and drop
-     * all volatile pipeline state. Only meaningful in Ppa mode; in
-     * other modes the returned image is invalid (unrecoverable, which
-     * is the point of the comparison).
+     * The JIT checkpoint of the five PPA structures as power failing
+     * now would save it. Only meaningful in Ppa mode; in other modes
+     * the image is invalid (unrecoverable, which is the point of the
+     * comparison).
+     */
+    CheckpointImage checkpoint() const;
+
+    /**
+     * Power failure: save checkpoint(), notify the observers and drop
+     * all volatile pipeline state.
      */
     CheckpointImage powerFail();
 
@@ -113,6 +119,26 @@ class Core
      * LCPC (Section 4.6).
      */
     void recover(const CheckpointImage &image);
+
+    /**
+     * The NVM writes recover() replays, front to rear, as @p
+     * write(addr, value): the CSQ over the registers it references.
+     * The checkpoint saves both verbatim and recovery restores them
+     * before replaying, so this reads them in place, before a power
+     * failure as well as after recovery.
+     */
+    template <class Write>
+    void
+    forEachReplayWrite(Write &&write) const
+    {
+        ppa::forEachReplayWrite(
+            csq.contents(),
+            [this](unsigned g) {
+                return prf(regIndexer.classOf(g))
+                    .value(regIndexer.indexOf(g));
+            },
+            write);
+    }
 
     /**
      * Architectural register state reconstructed through the CRT, for

@@ -76,6 +76,29 @@ struct CheckpointImage
     }
 };
 
+/**
+ * The NVM writes recovery's CSQ replay makes (Section 4.6): one per
+ * entry of @p csq, front to rear, as @p write(addr, value). An entry
+ * writes its inline value, zero for an architecturally zero operand,
+ * or @p reg_value(g) for global physical register g. System::recover
+ * replays the cores in index order, so across cores the last core's
+ * write to an address wins.
+ */
+template <class RegValue, class Write>
+void
+forEachReplayWrite(const std::deque<CsqEntry> &csq, RegValue &&reg_value,
+                   Write &&write)
+{
+    for (const CsqEntry &entry : csq) {
+        if (entry.carriesValue)
+            write(entry.addr, entry.value);
+        else if (entry.physRegIndex == csqZeroRegIndex)
+            write(entry.addr, Word{0});
+        else
+            write(entry.addr, reg_value(entry.physRegIndex));
+    }
+}
+
 } // namespace ppa
 
 #endif // PPA_PPA_CHECKPOINT_HH

@@ -125,7 +125,7 @@ class RequestSource : public DynInstSource
     MemImage mem;
 
     /** Freed history rings; a serving run has one source per core,
-     *  and its failure branches run beside the measured run. */
+     *  and its failure walk runs beside the measured run. */
     using HistoryPool = Recycler<std::vector<DynInst>, 4>;
 
     /** Circular history of the last historyCap instructions. */

@@ -155,15 +155,10 @@ class AckTracker : public check::PipelineObserver
     Cycle now = 0;
 };
 
-/**
- * Wire one simulation instance: per-core request streams under the
- * variant's durability transform, each core watched by an AckTracker
- * (returned in @p trackers). Fresh per measurement run and per failure
- * branch.
- */
-std::unique_ptr<sim::Run>
-makeRun(const ServeConfig &cfg, ServeVariant variant,
-        std::vector<AckTracker *> &trackers)
+} // namespace
+
+ServeRun
+makeServeRun(const ServeConfig &cfg, ServeVariant variant)
 {
     PPA_ASSERT(cfg.threads > 0, "serve needs at least one thread");
     ExperimentKnobs knobs;
@@ -171,8 +166,10 @@ makeRun(const ServeConfig &cfg, ServeVariant variant,
     knobs.telemetry = cfg.telemetry;
     knobs.telemetrySampleCycles = cfg.telemetrySampleCycles;
     knobs.telemetrySeriesCap = cfg.telemetrySeriesCap;
-    auto run = std::make_unique<sim::Run>(systemVariantFor(variant),
-                                          knobs, cfg.threads);
+    ServeRun sr;
+    sr.run = std::make_unique<sim::Run>(systemVariantFor(variant), knobs,
+                                        cfg.threads);
+    sim::Run &run = *sr.run;
     for (unsigned t = 0; t < cfg.threads; ++t) {
         RequestStreamConfig rc;
         rc.workload = cfg.workload;
@@ -184,33 +181,39 @@ makeRun(const ServeConfig &cfg, ServeVariant variant,
         rc.dataBase = dataBase(t);
         rc.ackAddr = ackAddr(t);
         rc.scratchAddr = scratchAddr(t);
-        run->addSource(std::make_unique<RequestSource>(rc));
+        run.addSource(std::make_unique<RequestSource>(rc));
 
         DurabilityParams dp;
         dp.publishAddr = ackAddr(t);
         dp.commitAddr = commitAddr(t);
         dp.logBase = logBase(t);
         if (variant == ServeVariant::UndoRedoLog)
-            run->stack<UndoRedoLogTransform>(t, dp);
+            run.stack<UndoRedoLogTransform>(t, dp);
         else if (variant == ServeVariant::DelayFree)
-            run->stack<DelayFreeTransform>(t, dp);
+            run.stack<DelayFreeTransform>(t, dp);
 
-        trackers.push_back(&run->watch<AckTracker>(t, ackAddr(t)));
+        sr.acks.push_back(&run.watch<AckTracker>(t, ackAddr(t)).ackCycles);
+        // The durable frontier: the last sequence number whose ack
+        // (PPA, delay-free) or commit record (undo/redo logging)
+        // persisted.
+        sr.frontier.push_back(variant == ServeVariant::UndoRedoLog
+                                  ? commitAddr(t)
+                                  : ackAddr(t));
     }
-    run->bindSources();
-    return run;
+    run.bindSources();
+    return sr;
 }
 
 Cycle
 modelRecovery(const ServeConfig &cfg, ServeVariant variant,
-              const std::vector<CheckpointImage> &images,
+              const std::vector<std::size_t> &csq_entries,
               std::uint64_t lost_requests)
 {
     switch (variant) {
       case ServeVariant::Ppa: {
         std::uint64_t entries = 0;
-        for (const CheckpointImage &im : images)
-            entries += im.csq.size();
+        for (std::size_t n : csq_entries)
+            entries += n;
         return kRecoverPpaBase + entries * kRecoverPpaPerCsqEntry;
       }
       case ServeVariant::UndoRedoLog: {
@@ -227,54 +230,6 @@ modelRecovery(const ServeConfig &cfg, ServeVariant variant,
     }
     return 0;
 }
-
-FailurePoint
-crashBranch(const ServeConfig &cfg, ServeVariant variant, Cycle crash)
-{
-    std::vector<AckTracker *> trackers;
-    std::unique_ptr<sim::Run> run = makeRun(cfg, variant, trackers);
-    run->system().runUntilCycle(crash);
-
-    // Snapshot completion counts before power-fail/recovery: PPA
-    // recovery replays the CSQ, and nothing replayed may be
-    // double-counted as newly completed work.
-    std::vector<std::uint64_t> completed(cfg.threads);
-    for (unsigned t = 0; t < cfg.threads; ++t)
-        completed[t] = trackers[t]->ackCycles.size();
-
-    // The durable frontier is read from the post-crash NVM image: the
-    // last sequence number whose ack (PPA, delay-free) or commit
-    // record (undo/redo logging) actually persisted.
-    std::vector<Addr> frontier;
-    for (unsigned t = 0; t < cfg.threads; ++t)
-        frontier.push_back(variant == ServeVariant::UndoRedoLog
-                               ? commitAddr(t)
-                               : ackAddr(t));
-    sim::Run::CrashView view = run->crashObserve(frontier);
-
-    FailurePoint fp;
-    fp.cycle = crash;
-    for (unsigned t = 0; t < cfg.threads; ++t) {
-        std::uint64_t durable = std::min(view.words[t], completed[t]);
-
-        fp.completedRequests += completed[t];
-        fp.durableRequests += durable;
-        fp.lostRequests += completed[t] - durable;
-
-        // Data-loss window: how far back acknowledged work can
-        // disappear — from the completion of the first lost request
-        // to the crash. Zero when every completed request survived.
-        Cycle window = durable < completed[t]
-                           ? crash - trackers[t]->ackCycles[durable]
-                           : 0;
-        fp.lossWindow = std::max(fp.lossWindow, window);
-    }
-    fp.recoveryCycles =
-        modelRecovery(cfg, variant, view.images, fp.lostRequests);
-    return fp;
-}
-
-} // namespace
 
 const char *
 serveVariantToken(ServeVariant v)
@@ -322,17 +277,16 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
     out.variant = variant;
     out.requests = cfg.requests;
 
-    std::vector<AckTracker *> trackers;
-    std::unique_ptr<sim::Run> run = makeRun(cfg, variant, trackers);
+    ServeRun sr = makeServeRun(cfg, variant);
+    sim::Run *run = sr.run.get();
     run->attachTelemetry();
     run->system().run(cycleCap(cfg));
 
     for (unsigned t = 0; t < cfg.threads; ++t) {
-        const AckTracker &tr = *trackers[t];
-        out.completed += tr.ackCycles.size();
-        if (!tr.ackCycles.empty())
-            out.serviceCycles =
-                std::max(out.serviceCycles, tr.ackCycles.back());
+        const std::vector<Cycle> &acks = *sr.acks[t];
+        out.completed += acks.size();
+        if (!acks.empty())
+            out.serviceCycles = std::max(out.serviceCycles, acks.back());
         out.committedInsts += run->system().core(t).committedInsts();
         out.committedStores += run->system().core(t).committedStores();
         if (auto *tf = dynamic_cast<const UndoRedoLogTransform *>(
@@ -354,16 +308,15 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
     // the arrival process with the Lindley recursion (see serve.hh).
     double makespan = 0.0;
     for (unsigned t = 0; t < cfg.threads; ++t) {
-        const AckTracker &tr = *trackers[t];
+        const std::vector<Cycle> &acks = *sr.acks[t];
         ArrivalProcess arrivals(cfg.arrival,
                                 mixSeed(cfg.seed, t, kArrivalSalt));
         Cycle prev_ack = 0;
         double prev_finish = 0.0;
-        for (std::size_t i = 0; i < tr.ackCycles.size(); ++i) {
+        for (std::size_t i = 0; i < acks.size(); ++i) {
             double arrival = arrivals.next();
-            auto service =
-                static_cast<double>(tr.ackCycles[i] - prev_ack);
-            prev_ack = tr.ackCycles[i];
+            auto service = static_cast<double>(acks[i] - prev_ack);
+            prev_ack = acks[i];
             double start = std::max(arrival, prev_finish);
             double finish = start + service;
             prev_finish = finish;
@@ -397,21 +350,40 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
             ? static_cast<double>(out.completed) * 1000.0 / makespan
             : 0.0;
 
-    // Failure study: crash fresh branches at evenly spaced points of
-    // the measured service timeline. Branches are independent, so a
-    // worker pool may compute them in any order into indexed slots.
-    if (cfg.failures > 0 && out.serviceCycles > 0) {
-        std::vector<Cycle> points;
-        points.reserve(cfg.failures);
-        for (unsigned k = 1; k <= cfg.failures; ++k) {
-            Cycle c = out.serviceCycles *
-                      static_cast<Cycle>(k) / (cfg.failures + 1);
-            points.push_back(std::max<Cycle>(c, 1));
+    // Failure study: crash points evenly spaced over the measured
+    // service timeline, in nondecreasing order. One run walks them
+    // and reads what a power failure at each would leave durable
+    // (sim::Run::crashView) without crashing.
+    if (cfg.failures == 0 || out.serviceCycles == 0)
+        return out;
+    ServeRun walk = makeServeRun(cfg, variant);
+    for (unsigned k = 1; k <= cfg.failures; ++k) {
+        Cycle crash = std::max<Cycle>(
+            out.serviceCycles * k / (cfg.failures + 1), 1);
+        walk.run->system().runUntilCycle(crash);
+        sim::Run::CrashView view = walk.run->crashView(walk.frontier);
+
+        FailurePoint fp;
+        fp.cycle = crash;
+        for (unsigned t = 0; t < cfg.threads; ++t) {
+            const std::vector<Cycle> &acks = *walk.acks[t];
+            std::uint64_t completed = acks.size();
+            std::uint64_t durable = std::min(view.words[t], completed);
+
+            fp.completedRequests += completed;
+            fp.durableRequests += durable;
+            fp.lostRequests += completed - durable;
+
+            // Data-loss window: how far back acknowledged work can
+            // disappear — from the completion of the first lost
+            // request to the crash. Zero when every completed request
+            // survived.
+            Cycle window = durable < completed ? crash - acks[durable] : 0;
+            fp.lossWindow = std::max(fp.lossWindow, window);
         }
-        out.failures.resize(points.size());
-        sim::runIndexed(cfg.workers, points.size(), [&](std::size_t i) {
-            out.failures[i] = crashBranch(cfg, variant, points[i]);
-        });
+        fp.recoveryCycles =
+            modelRecovery(cfg, variant, view.csq, fp.lostRequests);
+        out.failures.push_back(fp);
     }
     return out;
 }
@@ -422,9 +394,11 @@ runServeStudy(const ServeConfig &cfg,
 {
     ServeStats stats;
     stats.config = cfg;
-    stats.variants.reserve(variants.size());
-    for (ServeVariant v : variants)
-        stats.variants.push_back(runServeVariant(cfg, v));
+    stats.variants.resize(variants.size());
+    // Variants are independent: any worker count fills the same slots.
+    sim::runIndexed(cfg.workers, variants.size(), [&](std::size_t i) {
+        stats.variants[i] = runServeVariant(cfg, variants[i]);
+    });
     return stats;
 }
 

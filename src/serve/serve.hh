@@ -16,18 +16,22 @@
  *    points of the service timeline: the data-loss window (crash
  *    cycle minus completion cycle of the last *durable* request, read
  *    from the post-crash NVM image), lost-but-completed request
- *    counts, and a modeled software/hardware recovery time.
+ *    counts, and a modeled software/hardware recovery time. One run
+ *    walks all of a variant's failure points and reads each crash's
+ *    durable state without crashing (sim::Run::crashView).
  *
- * Every run is a pure function of (config, variant); failure branches
- * execute on a host worker pool whose size never changes any result
- * (results are stored by branch index — the serial==parallel bitwise
- * contract the serve tests pin).
+ * Every run is a pure function of (config, variant); variants execute
+ * on a host worker pool whose size never changes any result (results
+ * are stored by variant index — the serial==parallel bitwise contract
+ * the serve tests pin).
  */
 
 #ifndef PPA_SERVE_SERVE_HH
 #define PPA_SERVE_SERVE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,7 @@
 #include "serve/arrival.hh"
 #include "serve/latency.hh"
 #include "serve/request_source.hh"
+#include "sim/run.hh"
 
 namespace ppa
 {
@@ -80,7 +85,7 @@ struct ServeConfig
     /** Injected power-failure points per variant (0 = skip). */
     unsigned failures = 8;
     std::uint64_t seed = 42;
-    /** Host threads for failure branches; 0 = hardware. Scheduling
+    /** Host threads across variants; 0 = hardware. Scheduling
      *  metadata only — results are identical for any value. */
     unsigned workers = 0;
     /** Collect obs::Telemetry (and request spans) on the
@@ -137,6 +142,28 @@ struct ServeStats
     ServeConfig config;
     std::vector<ServeVariantStats> variants;
 };
+
+/** One simulation of a variant, wired as the study wires it. */
+struct ServeRun
+{
+    /** Per-core request streams under the variant's durability
+     *  transform, sources bound. */
+    std::unique_ptr<sim::Run> run;
+    /** Per core: the commit cycle of each request's ack so far. */
+    std::vector<const std::vector<Cycle> *> acks;
+    /** Per core: the NVM word holding its durable frontier, the last
+     *  acked (ppa, delay-free) or committed (undo/redo logging)
+     *  sequence number. */
+    std::vector<Addr> frontier;
+};
+
+ServeRun makeServeRun(const ServeConfig &config, ServeVariant variant);
+
+/** Modeled recovery time (docs/SERVING.md) from each core's
+ *  checkpointed CSQ entries and the requests the crash lost. */
+Cycle modelRecovery(const ServeConfig &config, ServeVariant variant,
+                    const std::vector<std::size_t> &csq_entries,
+                    std::uint64_t lost_requests);
 
 /** Run one variant of the study. */
 ServeVariantStats runServeVariant(const ServeConfig &config,

@@ -243,17 +243,50 @@ Run::auditedCrash(RunStats &rs)
 }
 
 Run::CrashView
-Run::crashObserve(const std::vector<Addr> &observed)
+Run::crashView(const std::vector<Addr> &observed) const
 {
+    const bool ppa = sc.core.mode == PersistMode::Ppa;
+    const MemImage &nvm = sys->memory().nvmImage();
     CrashView view;
-    view.cut.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        view.cut.push_back(sys->core(t).committedStores());
-    view.images = crash();
     view.words.reserve(observed.size());
     for (Addr a : observed)
-        view.words.push_back(
-            sys->memory().nvmImage().read(MemImage::wordAlign(a)));
+        view.words.push_back(nvm.read(MemImage::wordAlign(a)));
+    view.cut.reserve(threads);
+    view.csq.reserve(threads);
+    // MemHierarchy::powerFail writes no NVM, and recovery's only NVM
+    // writes are the CSQ replays, in System::recover's core order.
+    for (unsigned t = 0; t < threads; ++t) {
+        const Core &core = sys->core(t);
+        view.cut.push_back(core.committedStores());
+        view.csq.push_back(ppa ? core.csqRef().size() : 0);
+        if (!ppa)
+            continue;
+        core.forEachReplayWrite([&](Addr addr, Word value) {
+            for (std::size_t i = 0; i < observed.size(); ++i)
+                if (MemImage::wordAlign(observed[i]) ==
+                    MemImage::wordAlign(addr))
+                    view.words[i] = value;
+        });
+    }
+    return view;
+}
+
+Run::CrashView
+Run::crashObserve(const std::vector<Addr> &observed)
+{
+    CrashView view = crashView(observed);
+    std::vector<CheckpointImage> images = crash();
+    for (std::size_t i = 0; i < observed.size(); ++i) {
+        Word word =
+            sys->memory().nvmImage().read(MemImage::wordAlign(observed[i]));
+        PPA_ASSERT(word == view.words[i], "crash view read ",
+                   view.words[i], " at ", observed[i],
+                   " but recovery left ", word);
+    }
+    for (unsigned t = 0; t < threads; ++t)
+        PPA_ASSERT(images[t].csq.size() == view.csq[t],
+                   "crash view disagrees with core ", t,
+                   "'s checkpointed CSQ");
     return view;
 }
 

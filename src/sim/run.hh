@@ -180,14 +180,23 @@ class Run
      *  into @p rs. */
     void auditedCrash(RunStats &rs);
 
+    /** What a power failure now leaves durable. */
     struct CrashView
     {
         std::vector<std::uint64_t> cut; ///< committed stores per core
         std::vector<Word> words;        ///< observed NVM, post-crash
-        std::vector<CheckpointImage> images;
+        std::vector<std::size_t> csq;   ///< checkpointed CSQ entries
     };
 
-    /** Read the store cut, crash(), then read @p observed from NVM. */
+    /**
+     * What crashObserve(@p observed) would return, without crashing:
+     * the NVM image overlaid by the writes recovery would replay (PPA
+     * mode). Changes no state and sends no callbacks.
+     */
+    CrashView crashView(const std::vector<Addr> &observed) const;
+
+    /** Take crashView(@p observed), crash(), then read @p observed
+     *  back from NVM; fatal unless the view saw the same words. */
     CrashView crashObserve(const std::vector<Addr> &observed);
 
     // ---- Results ------------------------------------------------------

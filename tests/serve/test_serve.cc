@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "serve/serve.hh"
+#include "sim/run.hh"
 
 using namespace ppa;
 using namespace ppa::serve;
@@ -67,7 +70,96 @@ checkCommonInvariants(const ServeConfig &cfg,
     EXPECT_GT(s.failures.back().completedRequests, 0u) << tag;
 }
 
+/**
+ * The failure study as one new run per point: run it to the point,
+ * crash it (sim::Run::crashObserve) and score what recovery left.
+ */
+std::vector<FailurePoint>
+freshBranches(const ServeConfig &cfg, ServeVariant variant,
+              Cycle service_cycles)
+{
+    std::vector<FailurePoint> out;
+    for (unsigned k = 1; k <= cfg.failures; ++k) {
+        Cycle crash = std::max<Cycle>(
+            service_cycles * k / (cfg.failures + 1), 1);
+        ServeRun sr = makeServeRun(cfg, variant);
+        sr.run->system().runUntilCycle(crash);
+        std::vector<std::vector<Cycle>> acks;
+        for (const std::vector<Cycle> *a : sr.acks)
+            acks.push_back(*a);
+        sim::Run::CrashView view = sr.run->crashObserve(sr.frontier);
+
+        FailurePoint fp;
+        fp.cycle = crash;
+        for (unsigned t = 0; t < cfg.threads; ++t) {
+            std::uint64_t completed = acks[t].size();
+            std::uint64_t durable = std::min(view.words[t], completed);
+            fp.completedRequests += completed;
+            fp.durableRequests += durable;
+            fp.lostRequests += completed - durable;
+            if (durable < completed)
+                fp.lossWindow =
+                    std::max(fp.lossWindow, crash - acks[t][durable]);
+        }
+        fp.recoveryCycles =
+            modelRecovery(cfg, variant, view.csq, fp.lostRequests);
+        out.push_back(fp);
+    }
+    return out;
+}
+
+void
+expectWalkMatchesFreshBranches(ServeConfig cfg)
+{
+    // One host thread per variant; the reference runs serially.
+    cfg.workers = 3;
+    ServeStats study = runServeStudy(cfg, allServeVariants());
+    for (const ServeVariantStats &s : study.variants) {
+        std::string tag = std::string(serveVariantToken(s.variant)) +
+                          " on " + std::to_string(cfg.threads) + " cores";
+        std::vector<FailurePoint> ref =
+            freshBranches(cfg, s.variant, s.serviceCycles);
+        ASSERT_EQ(s.failures.size(), ref.size()) << tag;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            const FailurePoint &a = s.failures[i];
+            const FailurePoint &b = ref[i];
+            EXPECT_EQ(a.cycle, b.cycle) << tag << " point " << i;
+            EXPECT_EQ(a.recoveryCycles, b.recoveryCycles)
+                << tag << " point " << i;
+            EXPECT_EQ(a.lossWindow, b.lossWindow) << tag << " point " << i;
+            EXPECT_EQ(a.completedRequests, b.completedRequests)
+                << tag << " point " << i;
+            EXPECT_EQ(a.durableRequests, b.durableRequests)
+                << tag << " point " << i;
+            EXPECT_EQ(a.lostRequests, b.lostRequests)
+                << tag << " point " << i;
+        }
+    }
+}
+
 } // namespace
+
+TEST(Serve, FailureWalkMatchesFreshBranches)
+{
+    for (unsigned threads : {2u, 4u}) {
+        ServeConfig cfg = smallConfig();
+        cfg.threads = threads;
+        cfg.failures = 16;
+        expectWalkMatchesFreshBranches(cfg);
+    }
+
+    // failures + 1 > serviceCycles: points repeat.
+    ServeConfig tiny = smallConfig();
+    tiny.requests = 2;
+    tiny.failures = 400;
+    ServeVariantStats ppa = runServeVariant(tiny, ServeVariant::Ppa);
+    ASSERT_LT(ppa.serviceCycles, tiny.failures + 1);
+    std::set<Cycle> distinct;
+    for (const FailurePoint &fp : ppa.failures)
+        distinct.insert(fp.cycle);
+    ASSERT_LT(distinct.size(), ppa.failures.size());
+    expectWalkMatchesFreshBranches(tiny);
+}
 
 TEST(Serve, VariantTokensRoundTrip)
 {

@@ -12,11 +12,69 @@
 #include <thread>
 #include <vector>
 
+#include "check/litmus.hh"
+#include "isa/builder.hh"
+#include "serve/serve.hh"
 #include "sim/report.hh"
 #include "sim/run.hh"
 #include "workload/profile.hh"
 
 using namespace ppa;
+
+namespace
+{
+
+/** @p threads' programs on @p variant, wired as the litmus engine
+ *  wires a test. */
+std::unique_ptr<sim::Run>
+programRun(const std::vector<Program> &threads, SystemVariant variant)
+{
+    const auto n = static_cast<unsigned>(threads.size());
+    ExperimentKnobs knobs;
+    knobs.threads = n;
+    auto run = std::make_unique<sim::Run>(variant, knobs, n);
+    for (const Program &p : threads)
+        run->system().seedMemory(p.initialMemory());
+    for (const Program &p : threads)
+        run->addSource(std::make_unique<ProgramExecutor>(p));
+    run->wrapReplayCache();
+    run->bindSources();
+    return run;
+}
+
+/**
+ * Run @p walk on to @p cycle and take its crash view of @p observed;
+ * expect it to equal what a new run from @p make, crashed at @p cycle,
+ * leaves durable. Returns the walked view.
+ */
+template <class MakeRun>
+sim::Run::CrashView
+expectViewMatchesCrash(sim::Run &walk, MakeRun &&make, Cycle cycle,
+                       const std::vector<Addr> &observed,
+                       const std::string &where)
+{
+    walk.system().runUntilCycle(cycle);
+    sim::Run::CrashView view = walk.crashView(observed);
+    std::unique_ptr<sim::Run> fresh = make();
+    fresh->system().runUntilCycle(cycle);
+    sim::Run::CrashView crashed = fresh->crashObserve(observed);
+    EXPECT_EQ(view.cut, crashed.cut) << where << " cycle " << cycle;
+    EXPECT_EQ(view.words, crashed.words) << where << " cycle " << cycle;
+    EXPECT_EQ(view.csq, crashed.csq) << where << " cycle " << cycle;
+    return view;
+}
+
+/** True when @p core's CSQ holds a store to @p addr's word. */
+bool
+csqHolds(const Core &core, Addr addr)
+{
+    for (const CsqEntry &e : core.csqRef().contents())
+        if (MemImage::wordAlign(e.addr) == MemImage::wordAlign(addr))
+            return true;
+    return false;
+}
+
+} // namespace
 
 TEST(RunIndexed, EachIndexRunsExactlyOnce)
 {
@@ -55,7 +113,7 @@ TEST(RunIndexed, HostWorkersResolvesZeroToAtLeastOne)
     EXPECT_EQ(sim::hostWorkers(5), 5u);
 }
 
-TEST(Run, CrashObserveReportsCutAndImages)
+TEST(Run, CrashObserveReportsCutAndCsq)
 {
     ExperimentKnobs k;
     k.instsPerCore = 2'000;
@@ -68,8 +126,104 @@ TEST(Run, CrashObserveReportsCutAndImages)
         sim::Run::CrashView view = run.crashObserve({});
         ASSERT_EQ(view.cut.size(), 1u);
         EXPECT_GT(view.cut[0], 0u);
-        ASSERT_EQ(view.images.size(), 1u);
+        ASSERT_EQ(view.csq.size(), 1u);
         EXPECT_TRUE(view.words.empty());
+    }
+}
+
+TEST(Run, CrashViewMatchesCrash)
+{
+    // Every cycle of every litmus corpus test.
+    for (const check::LitmusTest &test : check::litmusCorpus()) {
+        for (SystemVariant v :
+             {SystemVariant::Ppa, SystemVariant::MemoryMode,
+              SystemVariant::ReplayCache}) {
+            auto make = [&] { return programRun(test.threads, v); };
+            std::unique_ptr<sim::Run> walk = make();
+            const std::string where =
+                test.name + " on " + variantToken(v);
+            for (Cycle c = 1; !walk->system().allDone(); ++c) {
+                ASSERT_LT(c, 100'000u) << where << " never halts";
+                expectViewMatchesCrash(*walk, make, c, test.observed,
+                                       where);
+            }
+        }
+    }
+
+    // 256 evenly spaced cycles of 2-core serve stacks, one walk per
+    // variant, as the serving study walks its failure points.
+    serve::ServeConfig cfg;
+    cfg.workload = serve::ServeWorkload::Tatp;
+    cfg.requests = 60;
+    cfg.threads = 2;
+    cfg.keys = 256;
+    cfg.seed = 5;
+    for (serve::ServeVariant v : serve::allServeVariants()) {
+        auto make = [&] { return serve::makeServeRun(cfg, v).run; };
+        const std::string where =
+            std::string("serve ") + serve::serveVariantToken(v);
+        Cycle end = make()->system().run(0);
+        ASSERT_GT(end, 1'000u) << where;
+        serve::ServeRun walk = serve::makeServeRun(cfg, v);
+        for (Cycle k = 1; k <= 256; ++k)
+            expectViewMatchesCrash(*walk.run, make,
+                                   std::max<Cycle>(end * k / 257, 1),
+                                   walk.frontier, where);
+    }
+
+    // Directed: an ack store sits in the CSQ but not yet in NVM, so
+    // the replay overlay alone decides the durable frontier.
+    {
+        auto make = [&] {
+            return serve::makeServeRun(cfg, serve::ServeVariant::Ppa).run;
+        };
+        serve::ServeRun walk =
+            serve::makeServeRun(cfg, serve::ServeVariant::Ppa);
+        System &sys = walk.run->system();
+        unsigned decided = 0;
+        for (Cycle c = 1; decided < 4 && !sys.allDone(); ++c) {
+            sys.runUntilCycle(c);
+            sim::Run::CrashView view = walk.run->crashView(walk.frontier);
+            for (unsigned t = 0; t < cfg.threads; ++t) {
+                Addr ack = walk.frontier[t];
+                if (csqHolds(sys.core(t), ack) &&
+                    view.words[t] != sys.memory().nvmImage().read(ack)) {
+                    expectViewMatchesCrash(*walk.run, make, c,
+                                           walk.frontier, "ack in CSQ");
+                    ++decided;
+                    break;
+                }
+            }
+        }
+        EXPECT_EQ(decided, 4u) << "no ack store was caught in the CSQ";
+    }
+
+    // Directed: two cores store to one word (outside the DRF fragment
+    // the checkers use), so recovery's core order decides its value.
+    {
+        constexpr Addr word = 0x4000;
+        std::vector<Program> threads;
+        for (Word t = 0; t < 2; ++t) {
+            ProgramBuilder b;
+            b.movi(1, word);
+            for (Word k = 0; k < 12; ++k) {
+                b.movi(2, 100 * (t + 1) + k);
+                b.st(2, 1, 0);
+            }
+            b.halt();
+            threads.push_back(b.program());
+        }
+        auto make = [&] { return programRun(threads, SystemVariant::Ppa); };
+        std::unique_ptr<sim::Run> walk = make();
+        System &sys = walk->system();
+        unsigned both = 0;
+        for (Cycle c = 1; !sys.allDone(); ++c) {
+            ASSERT_LT(c, 100'000u) << "racy stores never halt";
+            expectViewMatchesCrash(*walk, make, c, {word}, "racy stores");
+            if (csqHolds(sys.core(0), word) && csqHolds(sys.core(1), word))
+                ++both;
+        }
+        EXPECT_GT(both, 0u) << "the two CSQs never held the word at once";
     }
 }
 

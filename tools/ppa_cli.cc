@@ -1777,7 +1777,7 @@ commandTable(Options &o)
                     "from it (default 42)",
                     s.seed, parseCount),
              number("--workers", "N",
-                    "host threads for failure branches; any value yields\n"
+                    "host threads across variants; any value yields\n"
                     "identical output (default: hardware parallelism)",
                     s.workers, parseUnsigned),
              text("--json", "FILE",
