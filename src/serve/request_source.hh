@@ -124,8 +124,7 @@ class RequestSource : public DynInstSource
     ArchState state;
     MemImage mem;
 
-    /** Freed history rings; a serving run has one source per core,
-     *  and its failure walk runs beside the measured run. */
+    /** Freed history rings; a serving run has one source per core. */
     using HistoryPool = Recycler<std::vector<DynInst>, 4>;
 
     /** Circular history of the last historyCap instructions. */

@@ -155,6 +155,20 @@ class AckTracker : public check::PipelineObserver
     Cycle now = 0;
 };
 
+/** Crash views the measuring run keeps per failure point; the grid
+ *  step doubles past that, so a point moves by less than about
+ *  1/16 of the spacing between points (docs/SERVING.md). */
+constexpr std::size_t kViewsPerPoint = 32;
+
+/** What a power failure at one grid stop would leave. */
+struct ViewStop
+{
+    Cycle cycle = 0;
+    sim::Run::CrashView view;
+    /** Per core: the requests acked by this cycle. */
+    std::vector<std::size_t> acked;
+};
+
 } // namespace
 
 ServeRun
@@ -279,16 +293,46 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
 
     ServeRun sr = makeServeRun(cfg, variant);
     sim::Run *run = sr.run.get();
+    System &sys = run->system();
     run->attachTelemetry();
-    run->system().run(cycleCap(cfg));
+
+    // Failure views: the measuring run stops at every multiple of a
+    // power-of-two grid step and reads what a power failure there
+    // would leave durable (sim::Run::crashView), without crashing.
+    // Past kViewsPerPoint views per point the step doubles and the
+    // views off the new grid go, so stops[i] is the view at i * grid.
+    const Cycle cap = cycleCap(cfg);
+    const std::size_t max_views =
+        kViewsPerPoint * (std::size_t{cfg.failures} + 1);
+    std::vector<ViewStop> stops;
+    Cycle grid = 1;
+    while (cfg.failures > 0) {
+        if (sys.cycle() % grid == 0) {
+            ViewStop &s = stops.emplace_back();
+            s.cycle = sys.cycle();
+            s.view = run->crashView(sr.frontier);
+            for (const std::vector<Cycle> *acks : sr.acks)
+                s.acked.push_back(acks->size());
+        }
+        if (stops.size() > max_views) {
+            grid *= 2;
+            std::erase_if(stops, [grid](const ViewStop &s) {
+                return s.cycle % grid != 0;
+            });
+        }
+        if (sys.allDone() || sys.cycle() >= cap)
+            break;
+        sys.runUntilCycle(std::min(cap, (sys.cycle() / grid + 1) * grid));
+    }
+    sys.run(cap);
 
     for (unsigned t = 0; t < cfg.threads; ++t) {
         const std::vector<Cycle> &acks = *sr.acks[t];
         out.completed += acks.size();
         if (!acks.empty())
             out.serviceCycles = std::max(out.serviceCycles, acks.back());
-        out.committedInsts += run->system().core(t).committedInsts();
-        out.committedStores += run->system().core(t).committedStores();
+        out.committedInsts += sys.core(t).committedInsts();
+        out.committedStores += sys.core(t).committedStores();
         if (auto *tf = dynamic_cast<const UndoRedoLogTransform *>(
                 &run->top(t))) {
             out.injectedClwbs += tf->injectedClwbs();
@@ -300,8 +344,8 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
             out.injectedFences += df->injectedFences();
         }
     }
-    out.nvmWrites = run->system().memory().nvm().writeCount();
-    out.nvmBytesWritten = run->system().memory().nvm().bytesWritten();
+    out.nvmWrites = sys.memory().nvm().writeCount();
+    out.nvmBytesWritten = sys.memory().nvm().bytesWritten();
     out.telemetry = run->harvestTelemetry();
 
     // Open-loop latency: remap the simulated service timeline onto
@@ -351,24 +395,22 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
             : 0.0;
 
     // Failure study: crash points evenly spaced over the measured
-    // service timeline, in nondecreasing order. One run walks them
-    // and reads what a power failure at each would leave durable
-    // (sim::Run::crashView) without crashing.
+    // service timeline, each rounded down to the view grid.
     if (cfg.failures == 0 || out.serviceCycles == 0)
         return out;
-    ServeRun walk = makeServeRun(cfg, variant);
+    out.failureGrid = grid;
     for (unsigned k = 1; k <= cfg.failures; ++k) {
-        Cycle crash = std::max<Cycle>(
+        Cycle point = std::max<Cycle>(
             out.serviceCycles * k / (cfg.failures + 1), 1);
-        walk.run->system().runUntilCycle(crash);
-        sim::Run::CrashView view = walk.run->crashView(walk.frontier);
+        PPA_ASSERT(point / grid < stops.size(), "no crash view at cycle ",
+                   point / grid * grid);
+        const ViewStop &at = stops[point / grid];
 
         FailurePoint fp;
-        fp.cycle = crash;
+        fp.cycle = at.cycle;
         for (unsigned t = 0; t < cfg.threads; ++t) {
-            const std::vector<Cycle> &acks = *walk.acks[t];
-            std::uint64_t completed = acks.size();
-            std::uint64_t durable = std::min(view.words[t], completed);
+            std::uint64_t completed = at.acked[t];
+            std::uint64_t durable = std::min(at.view.words[t], completed);
 
             fp.completedRequests += completed;
             fp.durableRequests += durable;
@@ -378,11 +420,12 @@ runServeVariant(const ServeConfig &cfg, ServeVariant variant)
             // disappear — from the completion of the first lost
             // request to the crash. Zero when every completed request
             // survived.
-            Cycle window = durable < completed ? crash - acks[durable] : 0;
+            Cycle window =
+                durable < completed ? at.cycle - (*sr.acks[t])[durable] : 0;
             fp.lossWindow = std::max(fp.lossWindow, window);
         }
         fp.recoveryCycles =
-            modelRecovery(cfg, variant, view.csq, fp.lostRequests);
+            modelRecovery(cfg, variant, at.view.csq, fp.lostRequests);
         out.failures.push_back(fp);
     }
     return out;
@@ -492,7 +535,8 @@ variantToJson(std::ostringstream &os, const ServeVariantStats &vs)
        << ", \"bytesWritten\": " << vs.nvmBytesWritten << "}";
 
     std::vector<std::uint64_t> recovery, loss, lost;
-    os << ", \"failures\": {\"points\": [";
+    os << ", \"failures\": {\"grid\": " << vs.failureGrid
+       << ", \"points\": [";
     for (std::size_t i = 0; i < vs.failures.size(); ++i) {
         const FailurePoint &fp = vs.failures[i];
         os << (i ? ", " : "") << "{\"cycle\": " << fp.cycle

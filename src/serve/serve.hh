@@ -16,9 +16,9 @@
  *    points of the service timeline: the data-loss window (crash
  *    cycle minus completion cycle of the last *durable* request, read
  *    from the post-crash NVM image), lost-but-completed request
- *    counts, and a modeled software/hardware recovery time. One run
- *    walks all of a variant's failure points and reads each crash's
- *    durable state without crashing (sim::Run::crashView).
+ *    counts, and a modeled software/hardware recovery time. The
+ *    measuring run reads each crash's durable state as it passes
+ *    (sim::Run::crashView), so a variant is simulated once.
  *
  * Every run is a pure function of (config, variant); variants execute
  * on a host worker pool whose size never changes any result (results
@@ -98,7 +98,9 @@ struct ServeConfig
 /** One injected power failure and what it cost. */
 struct FailurePoint
 {
-    Cycle cycle = 0;          ///< crash cycle (service timeline)
+    /** Crash cycle: an evenly spaced point of the service timeline,
+     *  rounded down to the variant's view grid. */
+    Cycle cycle = 0;
     Cycle recoveryCycles = 0; ///< modeled recovery time
     /** Span from the first lost request's completion to the crash —
      *  how far back acknowledged work can disappear; 0 when every
@@ -132,6 +134,9 @@ struct ServeVariantStats
     std::uint64_t nvmWrites = 0;
     std::uint64_t nvmBytesWritten = 0;
     std::vector<FailurePoint> failures;
+    /** Cycles between the crash views the failure points are rounded
+     *  to: a power of two, 1 for short runs; 0 without failures. */
+    Cycle failureGrid = 0;
     /** Populated when ServeConfig::telemetry is set. */
     obs::TelemetryResult telemetry;
 };

@@ -70,18 +70,28 @@ checkCommonInvariants(const ServeConfig &cfg,
     EXPECT_GT(s.failures.back().completedRequests, 0u) << tag;
 }
 
+/** Failure point @p k of the study: evenly spaced over the service
+ *  timeline, rounded down to the view grid @p grid. */
+Cycle
+failurePoint(const ServeConfig &cfg, Cycle service_cycles, Cycle grid,
+             unsigned k)
+{
+    Cycle even =
+        std::max<Cycle>(service_cycles * k / (cfg.failures + 1), 1);
+    return even / grid * grid;
+}
+
 /**
  * The failure study as one new run per point: run it to the point,
  * crash it (sim::Run::crashObserve) and score what recovery left.
  */
 std::vector<FailurePoint>
 freshBranches(const ServeConfig &cfg, ServeVariant variant,
-              Cycle service_cycles)
+              Cycle service_cycles, Cycle grid)
 {
     std::vector<FailurePoint> out;
     for (unsigned k = 1; k <= cfg.failures; ++k) {
-        Cycle crash = std::max<Cycle>(
-            service_cycles * k / (cfg.failures + 1), 1);
+        Cycle crash = failurePoint(cfg, service_cycles, grid, k);
         ServeRun sr = makeServeRun(cfg, variant);
         sr.run->system().runUntilCycle(crash);
         std::vector<std::vector<Cycle>> acks;
@@ -108,21 +118,49 @@ freshBranches(const ServeConfig &cfg, ServeVariant variant,
     return out;
 }
 
+/** The cycle at which every core of a fresh run is done. */
+Cycle
+endCycle(const ServeConfig &cfg, ServeVariant variant)
+{
+    ServeRun sr = makeServeRun(cfg, variant);
+    sr.run->system().runUntilCycle(neverCycle);
+    return sr.run->system().cycle();
+}
+
+/** Compare the study's failure points with fresh branches; set
+ *  @p min_grid to the smallest view grid over the variants. */
 void
-expectWalkMatchesFreshBranches(ServeConfig cfg)
+expectWalkMatchesFreshBranches(ServeConfig cfg, Cycle &min_grid)
 {
     // One host thread per variant; the reference runs serially.
     cfg.workers = 3;
     ServeStats study = runServeStudy(cfg, allServeVariants());
+    min_grid = neverCycle;
     for (const ServeVariantStats &s : study.variants) {
         std::string tag = std::string(serveVariantToken(s.variant)) +
                           " on " + std::to_string(cfg.threads) + " cores";
+        const Cycle grid = s.failureGrid;
+        min_grid = std::min(min_grid, grid);
+        // A power of two, and coarse only where the run is long: it
+        // doubled from grid / 2 at a stop past 16 (F + 1) grids.
+        ASSERT_GT(grid, 0u) << tag;
+        EXPECT_EQ(grid & (grid - 1), 0u) << tag;
+        if (grid > 1) {
+            EXPECT_LE(grid * 16 * (cfg.failures + 1),
+                      endCycle(cfg, s.variant))
+                << tag;
+        }
         std::vector<FailurePoint> ref =
-            freshBranches(cfg, s.variant, s.serviceCycles);
+            freshBranches(cfg, s.variant, s.serviceCycles, grid);
         ASSERT_EQ(s.failures.size(), ref.size()) << tag;
         for (std::size_t i = 0; i < ref.size(); ++i) {
             const FailurePoint &a = s.failures[i];
             const FailurePoint &b = ref[i];
+            // Rounding to the grid moves a point back by less than
+            // one grid step.
+            Cycle even = failurePoint(cfg, s.serviceCycles, 1, i + 1);
+            EXPECT_LE(a.cycle, even) << tag << " point " << i;
+            EXPECT_LT(even - a.cycle, grid) << tag << " point " << i;
             EXPECT_EQ(a.cycle, b.cycle) << tag << " point " << i;
             EXPECT_EQ(a.recoveryCycles, b.recoveryCycles)
                 << tag << " point " << i;
@@ -137,28 +175,73 @@ expectWalkMatchesFreshBranches(ServeConfig cfg)
     }
 }
 
+/** @p stats with its failure study blanked: the document a study
+ *  without failures would give. */
+std::string
+jsonWithoutFailures(ServeStats stats)
+{
+    stats.config.failures = 0;
+    for (ServeVariantStats &v : stats.variants) {
+        v.failures.clear();
+        v.failureGrid = 0;
+    }
+    return serveToJson(stats);
+}
+
 } // namespace
 
 TEST(Serve, FailureWalkMatchesFreshBranches)
 {
+    Cycle grid = 0;
     for (unsigned threads : {2u, 4u}) {
         ServeConfig cfg = smallConfig();
         cfg.threads = threads;
         cfg.failures = 16;
-        expectWalkMatchesFreshBranches(cfg);
+        expectWalkMatchesFreshBranches(cfg, grid);
     }
 
-    // failures + 1 > serviceCycles: points repeat.
+    // Long enough for the grid to double at least three times.
+    ServeConfig longer = smallConfig();
+    longer.requests = 600;
+    longer.failures = 6;
+    expectWalkMatchesFreshBranches(longer, grid);
+    EXPECT_GE(grid, 8u);
+
+    // failures + 1 > serviceCycles: points repeat, the grid stays 1
+    // and the points are exactly serviceCycles * k / (F + 1).
     ServeConfig tiny = smallConfig();
     tiny.requests = 2;
     tiny.failures = 400;
     ServeVariantStats ppa = runServeVariant(tiny, ServeVariant::Ppa);
     ASSERT_LT(ppa.serviceCycles, tiny.failures + 1);
+    EXPECT_EQ(ppa.failureGrid, 1u);
+    ASSERT_EQ(ppa.failures.size(), tiny.failures);
     std::set<Cycle> distinct;
-    for (const FailurePoint &fp : ppa.failures)
+    for (unsigned k = 1; k <= tiny.failures; ++k) {
+        const FailurePoint &fp = ppa.failures[k - 1];
+        EXPECT_EQ(fp.cycle,
+                  std::max<Cycle>(
+                      ppa.serviceCycles * k / (tiny.failures + 1), 1));
         distinct.insert(fp.cycle);
+    }
     ASSERT_LT(distinct.size(), ppa.failures.size());
-    expectWalkMatchesFreshBranches(tiny);
+    expectWalkMatchesFreshBranches(tiny, grid);
+    EXPECT_EQ(grid, 1u);
+}
+
+TEST(Serve, FailureViewsNeverPerturbTheRun)
+{
+    // The views are read as the measuring run passes: latency,
+    // counters and telemetry must be those of a run without them.
+    ServeConfig cfg = smallConfig();
+    cfg.telemetry = true;
+    cfg.failures = 0;
+    ServeStats plain = runServeStudy(cfg, allServeVariants());
+    cfg.failures = 8;
+    ServeStats viewed = runServeStudy(cfg, allServeVariants());
+    for (const ServeVariantStats &v : viewed.variants)
+        ASSERT_EQ(v.failures.size(), 8u);
+    EXPECT_EQ(serveToJson(plain), jsonWithoutFailures(viewed));
 }
 
 TEST(Serve, VariantTokensRoundTrip)
@@ -231,14 +314,14 @@ TEST(Serve, StudyIsDeterministic)
 
 TEST(Serve, WorkerCountNeverChangesResults)
 {
-    // The serial == parallel bitwise contract: failure branches are
-    // stored by index, so the host pool size is invisible.
+    // The serial == parallel bitwise contract: variants are stored by
+    // index, so the host pool size is invisible.
     ServeConfig serial = smallConfig();
     serial.workers = 1;
     ServeConfig wide = smallConfig();
     wide.workers = 8;
-    ServeStats a = runServeStudy(serial, {ServeVariant::DelayFree});
-    ServeStats b = runServeStudy(wide, {ServeVariant::DelayFree});
+    ServeStats a = runServeStudy(serial, allServeVariants());
+    ServeStats b = runServeStudy(wide, allServeVariants());
     // workers is scheduling metadata: not echoed into the JSON, and
     // the measured document is bitwise identical.
     EXPECT_EQ(serveToJson(a), serveToJson(b));

@@ -151,7 +151,7 @@ TEST(Run, CrashViewMatchesCrash)
     }
 
     // 256 evenly spaced cycles of 2-core serve stacks, one walk per
-    // variant, as the serving study walks its failure points.
+    // variant, as the serving study's measuring run passes its views.
     serve::ServeConfig cfg;
     cfg.workload = serve::ServeWorkload::Tatp;
     cfg.requests = 60;

@@ -7,8 +7,10 @@ offending flag. This pins the CLI's error contract: garbage numerics
 must never be silently coerced (the old ``std::stoul``-based parsing
 accepted ``12x`` as 12 and aborted on ``abc``), zero must be rejected
 where a count is structurally positive, and every rejection must point
-the user at ``--help``. It also checks that every command answers
-``--help`` with exit 0 and its help block.
+the user at ``--help``. The garbage and negative cases of every
+numeric flag are derived from the ``--help`` listing, so a new flag is
+covered without a new line here. It also checks that every command
+answers ``--help`` with exit 0 and its help block.
 
 Stdlib only; no third-party packages. Usage:
 
@@ -23,21 +25,17 @@ import subprocess
 import sys
 
 # (argv suffix, required diagnostic substring). Every case must exit
-# nonzero and print the substring on stdout or stderr.
+# nonzero and print the substring on stdout or stderr. Garbage and
+# negative values of each numeric flag come from numeric_cases(); these
+# are the cases the --help listing cannot derive.
 CASES = [
     # fuzz campaign numerics: zero and garbage.
     (["fuzz", "run", "--programs", "0"], "--programs must be positive"),
-    (["fuzz", "run", "--programs", "abc"],
-     "--programs wants an unsigned integer"),
     (["fuzz", "run", "--schedules", "0"], "--schedules must be positive"),
     (["fuzz", "run", "--seed", "12x"], "--seed wants an unsigned integer"),
-    (["fuzz", "run", "--max-findings", "zz"],
-     "--max-findings wants an unsigned integer"),
-    # trailing garbage and negatives must not be coerced.
+    # trailing garbage must not be coerced.
     (["run", "--app", "gcc", "--fail-at-cycle", "0"],
      "--fail-at-cycle must be positive"),
-    (["run", "--app", "gcc", "--fail-at-cycle", "-5"],
-     "--fail-at-cycle wants an unsigned integer"),
     (["run", "--app", "gcc", "--fail-at-cycle", "10garbage"],
      "--fail-at-cycle wants an unsigned integer"),
     # --tp-fail SEGMENT:CYCLE: each half validated, colon required.
@@ -51,10 +49,7 @@ CASES = [
     # cycle 0 is valid (exactly at the segment join); negatives are not.
     (["run", "--app", "gcc", "--time-parallel", "2",
       "--tp-fail", "2:-1"], "--tp-fail cycle wants an unsigned integer"),
-    # run numerics: garbage used to parse as 0 (an unbounded run for
-    # --insts), trailing garbage was dropped, and negative reals passed.
-    (["run", "--app", "gcc", "--insts", "abc"],
-     "--insts wants an unsigned integer"),
+    # run numerics: trailing garbage was dropped, and zero passed.
     (["run", "--app", "gcc", "--insts", "0"], "--insts must be positive"),
     (["run", "--app", "gcc", "--wpq", "4x"],
      "--wpq wants an unsigned integer"),
@@ -62,17 +57,9 @@ CASES = [
     # a value above UINT_MAX must not wrap to 0 past that check.
     (["run", "--app", "gcc", "--csq", "4294967296"],
      "--csq is out of range"),
-    (["run", "--app", "gcc", "--threads", "-1"],
-     "--threads wants an unsigned integer"),
-    (["run", "--app", "gcc", "--bw", "abc"],
-     "--bw wants a non-negative number"),
-    (["run", "--app", "gcc", "--bw", "-1"],
-     "--bw wants a non-negative number"),
     (["run", "--app", "gcc", "--bw", "0"], "--bw must be positive"),
     (["run", "--app", "gcc", "--seed", "7x"],
      "--seed wants an unsigned integer"),
-    (["run", "--app", "gcc", "--time-parallel", "two"],
-     "--time-parallel wants an unsigned integer"),
     (["run", "--app", "gcc", "--time-parallel", "2", "--sampled", "0"],
      "--sampled must be positive"),
     (["run", "--app", "gcc", "--telemetry-sample", "0"],
@@ -87,8 +74,6 @@ CASES = [
      "--limit wants an unsigned integer"),
     # sweep numerics: trailing garbage must not be coerced.
     (["sweep", "fig11", "--jobs", "4x"], "--jobs wants an unsigned integer"),
-    (["sweep", "fig11", "--insts", "abc"],
-     "--insts wants an unsigned integer"),
     (["sweep", "fig11", "--seed", "12x"], "--seed wants an unsigned integer"),
     # litmus numerics share the same parser; --schedules and --seed
     # belong to explore only.
@@ -105,14 +90,11 @@ CASES = [
     (["fuzz", "bogus"], "unknown fuzz subcommand"),
     (["fuzz", "repro", "/nonexistent/ppa-fuzz-missing.litmus"],
      "cannot open"),
-    # serve: a vacuous request count, malformed reals, negative or
-    # garbage numerics, and structural token/range errors.
+    # serve: a vacuous request count, malformed reals, and structural
+    # token/range errors.
     (["serve", "--ops", "0"], "--ops must be positive"),
     (["serve", "--ops", "100x"], "--ops wants an unsigned integer"),
-    (["serve", "--skew", "-1"], "--skew wants a non-negative number"),
     (["serve", "--skew", "0.9oops"], "--skew wants a non-negative number"),
-    (["serve", "--burst-period", "-5"],
-     "--burst-period wants an unsigned integer"),
     (["serve", "--burst-period", "0"], "--burst-period must be positive"),
     (["serve", "--variant", "eadr"], "unknown serve variant"),
     (["serve", "--arrival", "pareto"], "unknown arrival process"),
@@ -169,6 +151,51 @@ def help_cases(cli):
     return cases + EXTRA_HELP_CASES
 
 
+# --help metavars of the numeric flags, and what each parser says to a
+# value it rejects.
+NUMERIC_METAVARS = {
+    "N": "wants an unsigned integer",
+    "K": "wants an unsigned integer",
+    "T": "wants an unsigned integer",
+    "I": "wants an unsigned integer",
+    "G": "wants a non-negative number",
+    "S": "wants a non-negative number",
+    "F": "wants a non-negative number",
+}
+
+
+def numeric_cases(cli):
+    """(argv suffix, required diagnostic) for every numeric flag that
+    `ppa_cli --help` lists: garbage (`abc`) and a negative (`-1`) must
+    be rejected by the flag's parser. A flag whose help starts with
+    "VERB:" goes to that verb of its group, any other to the group's
+    first verb. A new numeric flag is covered automatically."""
+    proc = subprocess.run([cli, "--help"], stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, timeout=60)
+    cases = []
+    group, verbs = None, []
+    for line in proc.stdout.splitlines():
+        m = re.match(r"subcommand: (\S+)", line)
+        if m:
+            group, verbs = m.group(1), []
+            continue
+        m = re.match(r"  ppa_cli (\S+) ([a-z]+)\b", line)
+        if m and m.group(1) == group:
+            verbs.append(m.group(2))
+            continue
+        m = re.match(r"  (--[a-z-]+) ([A-Z]) +(?:([a-z]+):)?", line)
+        if not m or m.group(2) not in NUMERIC_METAVARS:
+            continue
+        flag, metavar, verb = m.groups()
+        argv = [group]
+        if verbs:
+            argv.append(verb if verb in verbs else verbs[0])
+        for bad in ("abc", "-1"):
+            cases.append((argv + [flag, bad],
+                          f"{flag} {NUMERIC_METAVARS[metavar]}"))
+    return cases
+
+
 def run_case(cli, argv, needle, want_success=False):
     try:
         proc = subprocess.run(
@@ -199,7 +226,10 @@ def main():
     args = ap.parse_args()
 
     problems = []
-    for argv, needle in CASES:
+    numeric = numeric_cases(args.cli)
+    if not numeric:
+        problems.append("ppa_cli --help lists no numeric flag")
+    for argv, needle in CASES + numeric:
         err = run_case(args.cli, argv, needle)
         if err:
             problems.append(err)
@@ -215,7 +245,8 @@ def main():
         print(f"cli_errors_test: {p}", file=sys.stderr)
     if problems:
         return 1
-    print(f"cli_errors_test: OK — {len(CASES)} malformed invocations "
+    print(f"cli_errors_test: OK — {len(CASES) + len(numeric)} malformed "
+          "invocations "
           f"all rejected with diagnostics, {len(helps)} --help "
           "invocations answered")
     return 0
