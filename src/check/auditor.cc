@@ -29,13 +29,6 @@ Auditor::Auditor(Core &audited_core, MemHierarchy &mem,
 }
 
 void
-Auditor::attach()
-{
-    core.attachAuditObserver(this);
-    memory.writeBuffer(core.id()).setObserver(this);
-}
-
-void
 Auditor::violation(const std::string &what)
 {
     ++violationsSeen;
@@ -304,10 +297,9 @@ Auditor::checkBoundaryInvariants()
 }
 
 void
-Auditor::onRegionBoundaryStart(RegionEndCause cause)
+Auditor::onRegionBoundaryStart(Cycle, RegionEndCause)
 {
     ++events;
-    (void)cause;
     checkBoundaryInvariants();
     inBoundary = true;
 }
@@ -436,7 +428,7 @@ Auditor::auditCheckpointImage(const CheckpointImage &image)
 }
 
 void
-Auditor::onPowerFail(const CheckpointImage &image)
+Auditor::onPowerFail(Cycle, const CheckpointImage &image)
 {
     ++events;
     auditCheckpointImage(image);
@@ -473,7 +465,7 @@ Auditor::resyncFromImage(const CheckpointImage &image)
 }
 
 void
-Auditor::onRecover(const CheckpointImage &image)
+Auditor::onRecover(Cycle, const CheckpointImage &image)
 {
     ++events;
     resyncFromImage(image);

@@ -2,8 +2,8 @@
  * @file
  * Persistence-invariant auditor (opt-in, read-only instrumentation).
  *
- * The Auditor implements every check::* observer interface and mirrors
- * the commit/persist pipeline of one core in shadow state of its own.
+ * The Auditor is an event sink (obs::EventSink) that mirrors the
+ * commit/persist pipeline of one core in shadow state of its own.
  * Each event is validated against the invariants PPA's crash
  * consistency rests on:
  *
@@ -28,7 +28,7 @@
  * thrown, so a sweep can aggregate them; failFast mode upgrades them
  * to PPA_AUDIT_ASSERT panics for pinpoint debugging. Internal
  * event-protocol inconsistencies (impossible orderings that indicate
- * broken hook wiring, not a broken simulator) always panic.
+ * broken event wiring, not a broken simulator) always panic.
  */
 
 #ifndef PPA_CHECK_AUDITOR_HH
@@ -40,8 +40,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "check/observer.hh"
 #include "common/types.hh"
+#include "obs/event_sink.hh"
 
 namespace ppa
 {
@@ -116,10 +116,11 @@ struct ReplayAuditResult
 };
 
 /**
- * The per-core invariant auditor. Construct one per core, attach, and
- * read violations()/counters at the end of the run.
+ * The per-core invariant auditor. Construct one per core, attach it to
+ * its core (Core::attach), and read violations()/counters at the end
+ * of the run.
  */
-class Auditor : public PipelineObserver
+class Auditor : public obs::EventSink
 {
   public:
     /**
@@ -131,14 +132,6 @@ class Auditor : public PipelineObserver
      */
     Auditor(Core &core, MemHierarchy &memory,
             std::shared_ptr<StoreOracle> oracle);
-
-    /**
-     * Hook this auditor into its core's commit pipeline, CSQ, MaskReg,
-     * and write buffer. Call again after MemHierarchy::powerFail(),
-     * which reconstructs the write buffers (Core re-attachment is
-     * idempotent).
-     */
-    void attach();
 
     /** Fail hard (PPA_AUDIT_ASSERT) on the first violation. */
     void setFailFast(bool on) { failFast = on; }
@@ -164,7 +157,7 @@ class Auditor : public PipelineObserver
     const AuditContext &context() const { return ctx; }
     const StoreOracle &oracle() const { return *shared; }
 
-    // ---- CoreObserver -------------------------------------------------
+    // ---- obs::EventSink -----------------------------------------------
     void onCycle(Cycle cycle) override;
     void onCommit(std::uint64_t stream_index, bool is_store) override;
     void onStoreCommit(Addr addr, Word value, unsigned global_data_reg,
@@ -172,22 +165,16 @@ class Auditor : public PipelineObserver
     void onAtomicCommit(Addr addr, Word value) override;
     void onRegFree(unsigned global_reg) override;
     void onRegWrite(unsigned global_reg) override;
-    void onRegionBoundaryStart(RegionEndCause cause) override;
-    void onRegionBoundaryComplete() override;
-    void onPowerFail(const CheckpointImage &image) override;
-    void onRecover(const CheckpointImage &image) override;
-
-    // ---- CsqObserver --------------------------------------------------
     void onCsqPush(const CsqEntry &entry) override;
     void onCsqClear(std::size_t entries) override;
-
-    // ---- MaskRegObserver ----------------------------------------------
     void onMaskSet(unsigned global_reg) override;
     void onMaskClearAll(std::size_t masked) override;
-
-    // ---- WriteBufferObserver ------------------------------------------
     void onPersistEnqueue(Addr addr, Word value, bool coalesced) override;
     void onPersistIssue(Addr line_addr, unsigned store_count) override;
+    void onRegionBoundaryStart(Cycle cycle, RegionEndCause cause) override;
+    void onRegionBoundaryComplete() override;
+    void onPowerFail(Cycle cycle, const CheckpointImage &image) override;
+    void onRecover(Cycle cycle, const CheckpointImage &image) override;
 
   private:
     /** Shadow of one committed store of the current region. */

@@ -5,10 +5,10 @@
 #include <set>
 #include <sstream>
 
-#include "check/observer.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "isa/builder.hh"
+#include "obs/event_sink.hh"
 #include "sim/report.hh"
 #include "sim/run.hh"
 
@@ -326,41 +326,22 @@ buildCorpus()
 // ---- engine helpers -----------------------------------------------
 
 /**
- * Records the cycles at which the audit observers saw persistency
- * action; the randomized explorer biases crash points toward them.
+ * Records the cycles of region boundaries; the randomized explorer
+ * biases crash points toward them.
  */
-class CrashBiasObserver : public PipelineObserver
+class CrashBiasObserver : public obs::EventSink
 {
   public:
     explicit CrashBiasObserver(std::set<Cycle> &out) : out(out) {}
 
-    void onCycle(Cycle cycle) override { now = cycle; }
     void
-    onRegionBoundaryStart(RegionEndCause cause) override
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause) override
     {
-        (void)cause;
-        out.insert(now);
-    }
-    void onRegionBoundaryComplete() override { out.insert(now); }
-    void
-    onPersistEnqueue(Addr addr, Word value, bool coalesced) override
-    {
-        (void)addr;
-        (void)value;
-        (void)coalesced;
-        out.insert(now);
-    }
-    void
-    onPersistIssue(Addr line_addr, unsigned store_count) override
-    {
-        (void)line_addr;
-        (void)store_count;
-        out.insert(now);
+        out.insert(cycle);
     }
 
   private:
     std::set<Cycle> &out;
-    Cycle now = 0;
 };
 
 /** Wire one simulated instance of a litmus test: seeded memory and

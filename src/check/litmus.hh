@@ -23,11 +23,10 @@
  * discriminates between genuinely different allowed sets.
  *
  * Crash points come from exhaustive per-cycle enumeration (small
- * programs) or auditor-biased randomized sampling: half the draws
- * land near cycles where the audit observers saw persistency action —
- * region-boundary starts/completions (including CSQ-full implicit
- * boundaries) and write-buffer persist traffic (WPQ pressure) — and
- * half are uniform over the run.
+ * programs) or boundary-biased randomized sampling: half the draws
+ * land near the cycles of the reference run's region boundaries
+ * (including CSQ-full implicit boundaries) and half are uniform over
+ * the run.
  *
  * The corpus (litmusCorpus) covers the classic shapes: message
  * passing, store buffering, epoch boundaries, same-address
@@ -104,8 +103,7 @@ std::uint64_t fnv64(const std::string &s);
 /**
  * What one full (failure-free) reference execution of a test showed:
  * whether it completed within the cycle budget, the cycle it halted
- * on, and the sorted cycles at which the audit observers saw
- * persistency action (region boundaries, persist enqueue/issue).
+ * on, and the sorted cycles of its region boundaries.
  */
 struct ReferenceSummary
 {

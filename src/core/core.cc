@@ -52,6 +52,8 @@ Core::Core(const CoreParams &params, unsigned core_id, MemHierarchy &mem)
     mergeInFlight.reserve(cfg.storeMergeOverlap + 1);
     clwbAcks.reserve(64);
 
+    memory.writeBuffer(coreId).bindSinks(&sinks);
+
     fus[0].count = cfg.numIntAlu;
     fus[1].count = cfg.numIntMul;
     fus[2].count = cfg.numIntDiv;
@@ -62,7 +64,10 @@ Core::Core(const CoreParams &params, unsigned core_id, MemHierarchy &mem)
     fus[7].count = cfg.numStorePorts;
 }
 
-Core::~Core() = default;
+Core::~Core()
+{
+    memory.writeBuffer(coreId).bindSinks(nullptr);
+}
 
 void
 Core::bindSource(DynInstSource *source)
@@ -179,17 +184,16 @@ Core::freePhysReg(RegClass cls, PhysReg r)
 {
     if (r == invalidPhysReg)
         return;
-    if (auditObs)
-        auditObs->onRegFree(flattenReg(cls, r));
+    for (obs::EventSink *s : sinks)
+        s->onRegFree(flattenReg(cls, r));
     freeList(cls).free(r);
 }
 
 void
-Core::attachAuditObserver(check::PipelineObserver *obs)
+Core::attach(obs::EventSink *sink)
 {
-    auditObs = obs;
-    csq.setObserver(obs);
-    maskReg.setObserver(obs);
+    sinks.push_back(sink);
+    classifyCycles = classifyCycles || sink->classifiesCycles();
 }
 
 // --------------------------------------------------------------------
@@ -322,7 +326,7 @@ Core::renameStage()
             // ROB-full is a symptom when commit is already draining a
             // region boundary; only claim the cycle if no commit-side
             // cause fired (commitStage ran earlier this tick).
-            if (telemHook && !stallNoted)
+            if (classifyCycles && !stallNoted)
                 noteStructuralStall(obs::StallReason::RobFull);
             return;
         }
@@ -721,9 +725,8 @@ Core::writebackStage()
                 }
             }
         } else if (e->inst.hasDst()) {
-            if (auditObs)
-                auditObs->onRegWrite(flattenReg(e->inst.dst.cls,
-                                                e->newDst));
+            for (obs::EventSink *s : sinks)
+                s->onRegWrite(flattenReg(e->inst.dst.cls, e->newDst));
             prf(e->inst.dst.cls).write(e->newDst, e->execResult);
             wakeDependents(e->inst.dst.cls, e->newDst);
         }
@@ -824,10 +827,8 @@ void
 Core::completeRegionBoundary(RegionEndCause cause)
 {
     ++activity;
-    if (auditObs)
-        auditObs->onRegionBoundaryStart(cause);
-    if (telemHook)
-        telemHook->onRegionBoundaryComplete(curCycle, cause);
+    for (obs::EventSink *s : sinks)
+        s->onRegionBoundaryStart(curCycle, cause);
     // Reclaim the physical registers whose release was deferred
     // because MaskReg marked them as committed-store operands.
     for (unsigned g : deferredFrees) {
@@ -835,12 +836,16 @@ Core::completeRegionBoundary(RegionEndCause cause)
         freePhysReg(cls, maskReg.indexer().indexOf(g));
     }
     deferredFrees.clear();
+    for (obs::EventSink *s : sinks)
+        s->onMaskClearAll(maskReg.maskedCount());
     maskReg.clearAll();
+    for (obs::EventSink *s : sinks)
+        s->onCsqClear(csq.size());
     csq.clear();
     memory.writeBuffer(coreId).setDraining(false);
     regions.onRegionEnd(cause);
-    if (auditObs)
-        auditObs->onRegionBoundaryComplete();
+    for (obs::EventSink *s : sinks)
+        s->onRegionBoundaryComplete();
 }
 
 void
@@ -853,9 +858,9 @@ Core::retireStoreBookkeeping(RobEntry &e)
         // Irrevocable device write (Section 5): the battery-backed
         // I/O buffer makes the store persistent at commit — it never
         // enters the cache hierarchy, the CSQ, or replay.
-        if (auditObs) {
-            auditObs->onStoreCommit(s.addr, s.dataValue,
-                                    csqZeroRegIndex, false, true);
+        for (obs::EventSink *sink : sinks) {
+            sink->onStoreCommit(s.addr, s.dataValue, csqZeroRegIndex,
+                                false, true);
         }
         memory.ioBuffer().write(s.addr, s.dataValue);
         releaseSqSlot(e.sqIndex);
@@ -865,29 +870,34 @@ Core::retireStoreBookkeeping(RobEntry &e)
     s.committed = true;
     committedStoreFifo.push_back(e.sqIndex);
 
-    if (auditObs && !s.isClwb) {
-        unsigned g = csqZeroRegIndex;
-        if (!cfg.csqCarriesValues && s.dataReg != invalidPhysReg)
-            g = flattenReg(s.dataCls, s.dataReg);
-        auditObs->onStoreCommit(s.addr, s.dataValue, g,
-                                cfg.csqCarriesValues, false);
-    }
+    if (s.isClwb)
+        return;
+    unsigned g = csqZeroRegIndex;
+    if (!cfg.csqCarriesValues && s.dataReg != invalidPhysReg)
+        g = flattenReg(s.dataCls, s.dataReg);
+    for (obs::EventSink *sink : sinks)
+        sink->onStoreCommit(s.addr, s.dataValue, g, cfg.csqCarriesValues,
+                            false);
+    if (cfg.mode != PersistMode::Ppa)
+        return;
 
-    if (cfg.mode == PersistMode::Ppa && !s.isClwb) {
-        if (cfg.csqCarriesValues) {
-            // Section 6 variant: record the data value directly; no
-            // register masking is needed.
-            csq.pushValue(s.addr, s.dataValue);
-        } else if (s.dataReg == invalidPhysReg) {
-            // A store of a never-defined register carries the
-            // architectural zero.
-            csq.push(csqZeroRegIndex, s.addr);
-        } else {
-            // Store integrity: mask the data register and record the
-            // committed store in the CSQ (Sections 3.3, 4.4).
-            csq.push(flattenReg(s.dataCls, s.dataReg), s.addr);
-            maskReg.mask(s.dataCls, s.dataReg);
-        }
+    if (cfg.csqCarriesValues) {
+        // Section 6 variant: record the data value directly; no
+        // register masking is needed.
+        csq.pushValue(s.addr, s.dataValue);
+    } else {
+        // Store integrity: record the committed store in the CSQ and
+        // mask its data register (Sections 3.3, 4.4). A store of a
+        // never-defined register (g == csqZeroRegIndex) carries the
+        // architectural zero and masks nothing.
+        csq.push(g, s.addr);
+    }
+    for (obs::EventSink *sink : sinks)
+        sink->onCsqPush(csq.contents().back());
+    if (g != csqZeroRegIndex) {
+        maskReg.mask(s.dataCls, s.dataReg);
+        for (obs::EventSink *sink : sinks)
+            sink->onMaskSet(g);
     }
 }
 
@@ -900,7 +910,7 @@ Core::commitOne(RobEntry &e)
     if (e.isBarrier) {
         if (!regionBoundaryConditionsMet()) {
             regions.onBoundaryStall();
-            if (telemHook)
+            if (classifyCycles)
                 noteDrainStall();
             return false;
         }
@@ -918,7 +928,7 @@ Core::commitOne(RobEntry &e)
             // backpressure even while the drain itself waits on the
             // persist path (the WPQ/bandwidth split applies only to
             // boundaries the CSQ did not force).
-            if (telemHook)
+            if (classifyCycles)
                 noteStructuralStall(obs::StallReason::CsqFull);
             return false;
         }
@@ -934,14 +944,14 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::ReplayCache &&
             outstandingClwbs > 0) {
             regions.onBoundaryStall();
-            if (telemHook)
+            if (classifyCycles)
                 noteStructuralStall(obs::StallReason::NvmBandwidth);
             return false;
         }
         if (cfg.mode == PersistMode::Ppa) {
             if (!regionBoundaryConditionsMet()) {
                 regions.onBoundaryStall();
-                if (telemHook)
+                if (classifyCycles)
                     noteDrainStall();
                 return false;
             }
@@ -950,7 +960,7 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::Capri && capri) {
             if (!capri->empty(curCycle)) {
                 regions.onBoundaryStall();
-                if (telemHook)
+                if (classifyCycles)
                     noteStructuralStall(obs::StallReason::NvmBandwidth);
                 return false;
             }
@@ -971,7 +981,7 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::Ppa) {
             if (!regionBoundaryConditionsMet()) {
                 regions.onBoundaryStall();
-                if (telemHook)
+                if (classifyCycles)
                     noteDrainStall();
                 return false;
             }
@@ -983,8 +993,8 @@ Core::commitOne(RobEntry &e)
         if (cfg.mode == PersistMode::Ppa) {
             memory.atomicPersistWrite(coreId, inst.memAddr, old + delta,
                                       curCycle);
-            if (auditObs)
-                auditObs->onAtomicCommit(inst.memAddr, old + delta);
+            for (obs::EventSink *s : sinks)
+                s->onAtomicCommit(inst.memAddr, old + delta);
         } else {
             memory.committed().write(inst.memAddr, old + delta);
             // Timing/traffic for the RMW's cache access.
@@ -992,8 +1002,8 @@ Core::commitOne(RobEntry &e)
                               curCycle, false);
         }
         if (e.newDst != invalidPhysReg) {
-            if (auditObs)
-                auditObs->onRegWrite(flattenReg(inst.dst.cls, e.newDst));
+            for (obs::EventSink *s : sinks)
+                s->onRegWrite(flattenReg(inst.dst.cls, e.newDst));
             prf(inst.dst.cls).write(e.newDst, old);
             wakeDependents(inst.dst.cls, e.newDst);
         }
@@ -1044,8 +1054,8 @@ Core::commitOne(RobEntry &e)
 
     lcpc = inst.index;
     lcpcValid = true;
-    if (auditObs)
-        auditObs->onCommit(inst.index, inst.isStore());
+    for (obs::EventSink *s : sinks)
+        s->onCommit(inst.index, inst.isStore());
     ++commitCount;
     if (inst.isStore())
         ++storeCommitCount;
@@ -1072,7 +1082,7 @@ Core::commitStage()
         capriInstsInRegion == 0 && !rob.empty() &&
         !capri->empty(curCycle)) {
         regions.onBoundaryStall();
-        if (telemHook)
+        if (classifyCycles)
             noteStructuralStall(obs::StallReason::NvmBandwidth);
         return;
     }
@@ -1093,8 +1103,8 @@ Core::commitStage()
 void
 Core::tick()
 {
-    if (auditObs)
-        auditObs->onCycle(curCycle);
+    for (obs::EventSink *s : sinks)
+        s->onCycle(curCycle);
     // Sample PRF occupancy at the renaming stage, every cycle
     // (Figure 5's methodology).
     freeIntHist.sample(intFreeList.size());
@@ -1109,10 +1119,11 @@ Core::tick()
     issueStage();
     renameStage();
     fetchStage();
-    if (telemHook) {
-        telemHook->onCycleEnd(
-            curCycle,
-            static_cast<unsigned>(commitCount - commits_before));
+    if (classifyCycles) {
+        for (obs::EventSink *s : sinks) {
+            s->onCycleEnd(curCycle, static_cast<unsigned>(commitCount -
+                                                          commits_before));
+        }
         stallNoted = false;
     }
     ++curCycle;
@@ -1131,7 +1142,7 @@ Core::nextEventCycle(Cycle bound) const
         next = std::min(next, mergeInFlight.front());
     for (Cycle ack : clwbAcks)
         next = std::min(next, ack);
-    // A drain stall's telemetry attribution reads WPQ occupancy,
+    // A drain stall's attribution reads WPQ occupancy,
     // which drops as in-flight NVM writes complete.
     if (drainNotedCycle == curCycle - 1)
         next = std::min(next, memory.nvm().nextCompletionCycle(curCycle));
@@ -1169,18 +1180,16 @@ Core::skipIdle(Cycle until)
                             n);
     statRenameStallNoReg.inc(
         (statRenameStallNoReg.value() - tickRenameStalls) * n);
-    if (telemHook)
-        telemHook->onIdle(curCycle, until);
+    for (obs::EventSink *s : sinks)
+        s->onIdle(curCycle, until);
     curCycle = until;
-    if (auditObs)
-        auditObs->onCycle(until - 1);
+    for (obs::EventSink *s : sinks)
+        s->onCycle(until - 1);
 }
 
 void
 Core::noteStructuralStall(obs::StallReason reason)
 {
-    if (!telemHook)
-        return;
     // The attribution contract: at most one structural reason claims a
     // cycle. Re-noting the same reason (e.g. commit retried within one
     // cycle) is idempotent; a different reason is a plumbing bug.
@@ -1190,7 +1199,8 @@ Core::noteStructuralStall(obs::StallReason reason)
         return;
     stallNoted = true;
     stallReason = reason;
-    telemHook->onStructuralStall(reason);
+    for (obs::EventSink *s : sinks)
+        s->onStructuralStall(reason);
 }
 
 void
@@ -1282,10 +1292,8 @@ CheckpointImage
 Core::powerFail()
 {
     CheckpointImage image = checkpoint();
-    if (auditObs)
-        auditObs->onPowerFail(image);
-    if (telemHook)
-        telemHook->onPowerFail(curCycle);
+    for (obs::EventSink *s : sinks)
+        s->onPowerFail(curCycle, image);
 
     // All volatile pipeline state evaporates.
     fetchQueue.clear();
@@ -1395,10 +1403,8 @@ Core::recover(const CheckpointImage &image)
     }
     fetchResumeCycle = curCycle;
 
-    if (auditObs)
-        auditObs->onRecover(image);
-    if (telemHook)
-        telemHook->onRecover(curCycle);
+    for (obs::EventSink *s : sinks)
+        s->onRecover(curCycle, image);
 }
 
 } // namespace ppa

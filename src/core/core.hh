@@ -40,7 +40,6 @@
 #include <memory>
 #include <vector>
 
-#include "check/observer.hh"
 #include "common/logging.hh"
 #include "common/ring_buffer.hh"
 #include "common/stats.hh"
@@ -51,7 +50,7 @@
 #include "isa/dyninst.hh"
 #include "isa/source.hh"
 #include "mem/hierarchy.hh"
-#include "obs/hooks.hh"
+#include "obs/event_sink.hh"
 #include "ppa/checkpoint.hh"
 #include "ppa/csq.hh"
 #include "ppa/mask_reg.hh"
@@ -107,7 +106,7 @@ class Core
     CheckpointImage checkpoint() const;
 
     /**
-     * Power failure: save checkpoint(), notify the observers and drop
+     * Power failure: save checkpoint(), notify the sinks and drop
      * all volatile pipeline state.
      */
     CheckpointImage powerFail();
@@ -187,39 +186,32 @@ class Core
      * The first cycle, at or after cycle() and at most @p bound, at
      * which a repeat of a tick that changed nothing could change
      * something: a fetch resume, an execution completion, a store
-     * merge or clwb ack, and after a drain stall attributed for
-     * telemetry an NVM write completion. Only valid right after such
-     * a tick.
+     * merge or clwb ack, and, after a drain stall attributed for a
+     * sink that classifies cycles, an NVM write completion. Only
+     * valid right after such a tick.
      */
     Cycle nextEventCycle(Cycle bound) const;
 
     /**
      * Book the cycles [cycle(), @p until) as repeats of the last
      * tick, which changed nothing: its per-cycle statistics times the
-     * span, onIdle() to the telemetry hook and onCycle(@p until - 1)
-     * to the audit observer.
+     * span, then onIdle() and onCycle(@p until - 1) to every sink.
      */
     void skipIdle(Cycle until);
 
-    // ---- audit instrumentation (read-only observers) ----------------
+    // ---- instrumentation (read-only event sinks) ----------------------
     /**
-     * Attach an invariant auditor: the core reports commit-pipeline
-     * events and fans the observer out to its CSQ and MaskReg.
-     * Idempotent; pass nullptr to detach.
+     * Add @p sink to this core's sink list: it receives every core,
+     * CSQ, MaskReg and write-buffer event from now on, after the sinks
+     * attached before it, and must outlive the core's ticking. Stall
+     * attribution turns on for good once a sink that classifies
+     * cycles is attached.
      */
-    void attachAuditObserver(check::PipelineObserver *obs);
+    void attach(obs::EventSink *sink);
 
     /** Read-only views for audit cross-checks. */
     const Csq &csqRef() const { return csq; }
     const MaskReg &maskRegRef() const { return maskReg; }
-
-    // ---- telemetry instrumentation (read-only observer) --------------
-    /**
-     * Attach the in-run telemetry hook (obs::Telemetry). Null by
-     * default; with no hook the only overhead is a pointer test per
-     * callback site. Pass nullptr to detach.
-     */
-    void attachTelemetry(obs::TelemetryHook *hook) { telemHook = hook; }
 
     /** Occupancy views sampled by the telemetry counter series. */
     std::size_t robOccupancy() const { return rob.size(); }
@@ -496,11 +488,12 @@ class Core
     std::uint64_t outstandingClwbs = 0;
     std::vector<Cycle> clwbAcks;
 
-    // ---- audit -----------------------------------------------------------
-    check::PipelineObserver *auditObs = nullptr;
-
-    // ---- telemetry -------------------------------------------------------
-    obs::TelemetryHook *telemHook = nullptr;
+    // ---- instrumentation -------------------------------------------------
+    /** Attached sinks; the write buffer holds a pointer to this list. */
+    obs::EventSinks sinks;
+    /** Some attached sink classifies cycles (see
+     *  obs::EventSink::classifiesCycles). */
+    bool classifyCycles = false;
     /** At most one structural-stall reason may fire per cycle; the
      *  commit-side cause is noted first (commit runs first in tick)
      *  and rename's ROB-full symptom only when nothing else claimed

@@ -34,8 +34,10 @@ WriteBuffer::addStore(Addr addr, Word value, Cycle now)
             e.wordMask |= 1u << word;
             ++e.storeCount;
             statCoalesced.inc();
-            if (obs)
-                obs->onPersistEnqueue(addr, value, true);
+            if (sinks) {
+                for (obs::EventSink *s : *sinks)
+                    s->onPersistEnqueue(addr, value, true);
+            }
             return true;
         }
     }
@@ -50,8 +52,10 @@ WriteBuffer::addStore(Addr addr, Word value, Cycle now)
     e.storeCount = 1;
     e.bornCycle = now;
     entries.push_back(e);
-    if (obs)
-        obs->onPersistEnqueue(addr, value, false);
+    if (sinks) {
+        for (obs::EventSink *s : *sinks)
+            s->onPersistEnqueue(addr, value, false);
+    }
     return true;
 }
 
@@ -83,8 +87,10 @@ WriteBuffer::tick(Cycle now, Nvm &nvm, MemImage &nvm_image)
         unsigned w = static_cast<unsigned>(std::countr_zero(m));
         nvm_image.write(e.lineAddr + Addr{w} * 8, e.words[w]);
     }
-    if (obs)
-        obs->onPersistIssue(e.lineAddr, e.storeCount);
+    if (sinks) {
+        for (obs::EventSink *s : *sinks)
+            s->onPersistIssue(e.lineAddr, e.storeCount);
+    }
     // Retire the entry on WPQ acceptance (ADR: accepted ==
     // persistent).
     entries.pop_front();

@@ -27,11 +27,11 @@
 #include <cstdint>
 #include <deque>
 
-#include "check/observer.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/mem_image.hh"
 #include "mem/nvm.hh"
+#include "obs/event_sink.hh"
 
 namespace ppa
 {
@@ -114,11 +114,8 @@ class WriteBuffer
     std::uint64_t coalescedStores() const { return statCoalesced.value(); }
     std::uint64_t persistOps() const { return statOps.value(); }
 
-    /** Audit hook. */
-    void setObserver(check::WriteBufferObserver *observer)
-    {
-        obs = observer;
-    }
+    /** Send persist events to @p list, the owning core's sinks. */
+    void bindSinks(const obs::EventSinks *list) { sinks = list; }
 
   private:
     /** Largest supported persist granularity (words per line). */
@@ -153,7 +150,7 @@ class WriteBuffer
     stats::Counter statCoalesced;
     stats::Counter statOps;
 
-    check::WriteBufferObserver *obs = nullptr;
+    const obs::EventSinks *sinks = nullptr;
 };
 
 } // namespace ppa

@@ -299,7 +299,7 @@ appendTelemetry(TelemetryResult &dst, const TelemetryResult &seg,
  * go through const-safe accessors: sampling never perturbs the
  * simulated machine.
  */
-class Telemetry::CoreTelemetry final : public TelemetryHook
+class Telemetry::CoreTelemetry final : public EventSink
 {
   public:
     CoreTelemetry(const TelemetryConfig &config, unsigned core_index,
@@ -326,7 +326,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
             lastWriteBytes = mem->nvm().bytesWritten();
             lastReadBytes = readBytesNow();
         }
-        core->attachTelemetry(this);
+        core->attach(this);
     }
 
     void
@@ -364,6 +364,8 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
             sampleNow(nextSample);
     }
 
+    bool classifiesCycles() const override { return true; }
+
     void
     onStructuralStall(StallReason reason) override
     {
@@ -376,7 +378,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     }
 
     void
-    onRegionBoundaryComplete(Cycle cycle, RegionEndCause cause) override
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause cause) override
     {
         if (regionEvents.size() < kRegionEventCap) {
             TelemetryRegionEvent e;
@@ -394,7 +396,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     }
 
     void
-    onPowerFail(Cycle cycle) override
+    onPowerFail(Cycle cycle, const CheckpointImage &) override
     {
         TelemetryPowerEvent e;
         e.core = coreIndex;
@@ -403,7 +405,7 @@ class Telemetry::CoreTelemetry final : public TelemetryHook
     }
 
     void
-    onRecover(Cycle cycle) override
+    onRecover(Cycle cycle, const CheckpointImage &) override
     {
         if (!powerEvents.empty() && !powerEvents.back().recovered) {
             powerEvents.back().recover = cycle;

@@ -3,8 +3,8 @@
  * In-run telemetry: sampled counter time-series, region/power-failure
  * timelines, and per-cycle stall attribution (docs/TELEMETRY.md).
  *
- * The collector (obs::Telemetry) attaches one TelemetryHook per core
- * through the same narrow-observer pattern as the audit layer. Every
+ * The collector (obs::Telemetry) attaches one EventSink per core, in
+ * the same sink list as the invariant auditors. Every
  * telemetrySampleCycles cycles it records the occupancy of the ROB,
  * fetch and ready queues, CSQ, write buffer, free PRF, plus
  * system-wide WPQ occupancy and interval NVM read/write bytes, into
@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "obs/hooks.hh"
+#include "obs/event_sink.hh"
 
 namespace ppa
 {

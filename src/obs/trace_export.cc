@@ -38,7 +38,7 @@ struct Event
     std::string json;      ///< fully rendered event object
 };
 
-class EventSink
+class TraceEvents
 {
   public:
     void
@@ -86,7 +86,7 @@ class EventSink
 bool
 writeChromeTrace(const TelemetryResult &t, const std::string &path)
 {
-    EventSink sink;
+    TraceEvents sink;
 
     // Thread-name metadata so Perfetto labels each core's track.
     unsigned cores = static_cast<unsigned>(t.stallCycles.size());

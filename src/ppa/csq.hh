@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 
-#include "check/observer.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -78,8 +77,6 @@ class Csq
         PPA_ASSERT(!full(), "CSQ overflow must be handled as a region "
                             "boundary before pushing");
         entries.push_back({phys_reg_index, addr, 0, false});
-        if (obs)
-            obs->onCsqPush(entries.back());
     }
 
     /** Record a committing store with an inline data value (the
@@ -90,18 +87,10 @@ class Csq
         PPA_ASSERT(!full(), "CSQ overflow must be handled as a region "
                             "boundary before pushing");
         entries.push_back({csqZeroRegIndex, addr, value, true});
-        if (obs)
-            obs->onCsqPush(entries.back());
     }
 
     /** Region boundary: drop all entries. */
-    void
-    clear()
-    {
-        if (obs)
-            obs->onCsqClear(entries.size());
-        entries.clear();
-    }
+    void clear() { entries.clear(); }
 
     /** Front-to-rear iteration for checkpoint and replay. */
     const std::deque<CsqEntry> &contents() const { return entries; }
@@ -113,13 +102,9 @@ class Csq
         entries = saved;
     }
 
-    /** Audit hook; restore() fires no events (recovery resyncs). */
-    void setObserver(check::CsqObserver *observer) { obs = observer; }
-
   private:
     unsigned capacity = 40;
     std::deque<CsqEntry> entries;
-    check::CsqObserver *obs = nullptr;
 };
 
 } // namespace ppa

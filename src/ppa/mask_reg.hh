@@ -14,7 +14,6 @@
 #ifndef PPA_PPA_MASK_REG_HH
 #define PPA_PPA_MASK_REG_HH
 
-#include "check/observer.hh"
 #include "common/bitvector.hh"
 #include "common/types.hh"
 
@@ -89,10 +88,7 @@ class MaskReg
     void
     mask(RegClass cls, PhysReg reg)
     {
-        unsigned global = idx.flatten(cls, reg);
-        bits.set(global);
-        if (obs)
-            obs->onMaskSet(global);
+        bits.set(idx.flatten(cls, reg));
     }
 
     /** Is @p reg masked (reclamation must be deferred)? */
@@ -103,13 +99,7 @@ class MaskReg
     }
 
     /** Region boundary: clear every mask bit. */
-    void
-    clearAll()
-    {
-        if (obs)
-            obs->onMaskClearAll(bits.count());
-        bits.clearAll();
-    }
+    void clearAll() { bits.clearAll(); }
 
     std::size_t maskedCount() const { return bits.count(); }
     bool empty() const { return bits.none(); }
@@ -133,13 +123,9 @@ class MaskReg
 
     const PhysRegIndexer &indexer() const { return idx; }
 
-    /** Audit hook; restore() fires no events (recovery resyncs). */
-    void setObserver(check::MaskRegObserver *observer) { obs = observer; }
-
   private:
     PhysRegIndexer idx;
     BitVector bits;
-    check::MaskRegObserver *obs = nullptr;
 };
 
 } // namespace ppa

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "baselines/durability.hh"
-#include "check/observer.hh"
 #include "common/logging.hh"
+#include "obs/event_sink.hh"
 #include "sim/report.hh"
 #include "sim/run.hh"
 
@@ -122,10 +122,10 @@ systemVariantFor(ServeVariant v)
 
 /**
  * Records the commit cycle of every ack store — the completion event
- * of each request. Uses the audit-observer slot (telemetry has its
- * own hook slot, so both coexist).
+ * of each request. One sink among any others on the core (telemetry,
+ * auditors).
  */
-class AckTracker : public check::PipelineObserver
+class AckTracker : public obs::EventSink
 {
   public:
     explicit AckTracker(Addr ack) : ackWord(MemImage::wordAlign(ack)) {}
@@ -133,12 +133,8 @@ class AckTracker : public check::PipelineObserver
     void onCycle(Cycle cycle) override { now = cycle; }
 
     void
-    onStoreCommit(Addr addr, Word value, unsigned global_data_reg,
-                  bool carries_value, bool to_io_buffer) override
+    onStoreCommit(Addr addr, Word value, unsigned, bool, bool) override
     {
-        (void)global_data_reg;
-        (void)carries_value;
-        (void)to_io_buffer;
         if (addr != ackWord)
             return;
         PPA_ASSERT(value == ackCycles.size() + 1,

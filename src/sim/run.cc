@@ -156,9 +156,8 @@ Run::attachAuditors()
         return;
     auto oracle = std::make_shared<check::StoreOracle>();
     for (unsigned t = 0; t < threads; ++t) {
-        auditors.push_back(std::make_unique<check::Auditor>(
-            sys->core(t), sys->memory(), oracle));
-        auditors.back()->attach();
+        auditors.push_back(&watch<check::Auditor>(t, sys->core(t),
+                                                  sys->memory(), oracle));
     }
 }
 

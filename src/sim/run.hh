@@ -4,8 +4,9 @@
  *
  * A Run owns the System, each core's source stack (a base source, then
  * any transforms, the top one bound to the core), the auditors and
- * their shared StoreOracle, optional telemetry, run-owned observers
- * and an opened trace. It holds the single copy of the steps the
+ * their shared StoreOracle, optional telemetry, the event sinks that
+ * drivers add with watch(), and an opened trace. Every sink ends in
+ * the one Core::attach. It holds the single copy of the steps the
  * drivers share; the drivers (the classic and segment runners, the
  * serving study, the litmus explorer, the fuzz campaign) keep only
  * their own schedule and result shaping.
@@ -21,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "check/observer.hh"
+#include "obs/event_sink.hh"
 #include "sim/experiment.hh"
 #include "trace/reader.hh"
 #include "workload/profile.hh"
@@ -143,15 +144,15 @@ class Run
     /** knobs.telemetry: collect from this cycle on. */
     void attachTelemetry();
 
-    /** Attach a run-owned Observer(@p args...) to @p core's audit slot. */
-    template <class Observer, class... Args>
-    Observer &
+    /** Add a run-owned Sink(@p args...) to @p core's sink list. */
+    template <class Sink, class... Args>
+    Sink &
     watch(unsigned core, Args &&...args)
     {
-        auto obs = std::make_unique<Observer>(std::forward<Args>(args)...);
-        Observer &ref = *obs;
-        sys->core(core).attachAuditObserver(&ref);
-        observers.push_back(std::move(obs));
+        auto sink = std::make_unique<Sink>(std::forward<Args>(args)...);
+        Sink &ref = *sink;
+        sys->core(core).attach(&ref);
+        watched.push_back(std::move(sink));
         return ref;
     }
 
@@ -228,8 +229,9 @@ class Run
     std::unique_ptr<System> sys;
     trace::TraceSet traces;
     std::vector<Stack> stacks;
-    std::vector<std::unique_ptr<check::PipelineObserver>> observers;
-    std::vector<std::unique_ptr<check::Auditor>> auditors;
+    std::vector<std::unique_ptr<obs::EventSink>> watched;
+    /** The knobs.audit auditors, owned in watched. */
+    std::vector<check::Auditor *> auditors;
     std::unique_ptr<obs::Telemetry> telemetry;
 
     std::vector<Cycle> failAt;

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "check/auditor.hh"
-#include "check/observer.hh"
+#include "obs/event_sink.hh"
 #include "isa/builder.hh"
 #include "isa/program.hh"
 #include "ppa/checkpoint.hh"
@@ -110,7 +110,7 @@ TEST(Auditor, CleanKernelRunsProduceZeroViolations)
         system.seedMemory(c.prog.initialMemory());
         auto oracle = std::make_shared<StoreOracle>();
         Auditor aud(system.core(0), system.memory(), oracle);
-        aud.attach();
+        system.core(0).attach(&aud);
 
         ProgramExecutor source(c.prog);
         system.bindSource(0, &source);
@@ -135,7 +135,7 @@ TEST(Auditor, CrashRecoveryReplaysExactlyAndStaysClean)
     system.seedMemory(prog.initialMemory());
     auto oracle = std::make_shared<StoreOracle>();
     Auditor aud(system.core(0), system.memory(), oracle);
-    aud.attach();
+    system.core(0).attach(&aud);
 
     ProgramExecutor source(prog);
     system.bindSource(0, &source);
@@ -218,7 +218,7 @@ TEST(Auditor, FlagsPinnedRegisterOverwriteAndFree)
     // Resync the shadow from a checkpoint whose CSQ pins phys reg 5,
     // then violate store integrity both ways.
     Harness h;
-    h.aud.onRecover(regCarriedImage());
+    h.aud.onRecover(0, regCarriedImage());
     h.aud.onRegWrite(5);
     ASSERT_EQ(h.aud.violationCount(), 1u);
     EXPECT_NE(h.aud.violations()[0].what.find(
@@ -240,18 +240,18 @@ TEST(Auditor, FlagsCheckpointThatCorruptsAStoreValue)
     // The shadow says reg 5 carried committed value 77; a checkpoint
     // claiming 78 has lost store integrity before the power failure.
     Harness h;
-    h.aud.onRecover(regCarriedImage());
+    h.aud.onRecover(0, regCarriedImage());
     CheckpointImage bad = regCarriedImage();
     bad.physRegValues[5] = 78;
-    h.aud.onPowerFail(bad);
+    h.aud.onPowerFail(0, bad);
     ASSERT_EQ(h.aud.violationCount(), 1u);
     EXPECT_NE(h.aud.violations()[0].what.find("store integrity lost"),
               std::string::npos);
 
     // The uncorrupted image audits clean.
     Harness h2;
-    h2.aud.onRecover(regCarriedImage());
-    h2.aud.onPowerFail(regCarriedImage());
+    h2.aud.onRecover(0, regCarriedImage());
+    h2.aud.onPowerFail(0, regCarriedImage());
     EXPECT_EQ(h2.aud.violationCount(), 0u);
 }
 
@@ -259,7 +259,7 @@ namespace
 {
 
 /** Records the cycles at which region-boundary events fire. */
-struct BoundaryRecorder : check::PipelineObserver
+struct BoundaryRecorder : obs::EventSink
 {
     Cycle now = 0;
     std::vector<Cycle> starts;
@@ -267,10 +267,9 @@ struct BoundaryRecorder : check::PipelineObserver
 
     void onCycle(Cycle cycle) override { now = cycle; }
     void
-    onRegionBoundaryStart(RegionEndCause cause) override
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause) override
     {
-        (void)cause;
-        starts.push_back(now);
+        starts.push_back(cycle);
     }
     void onRegionBoundaryComplete() override { completes.push_back(now); }
 };
@@ -309,7 +308,7 @@ TEST(Auditor, CrashInsideTheDrainToBoundaryWindowRecoversClean)
     BoundaryRecorder recorder;
     System scout(ppaConfig());
     scout.seedMemory(prog.initialMemory());
-    scout.core(0).attachAuditObserver(&recorder);
+    scout.core(0).attach(&recorder);
     ProgramExecutor scoutSource(prog);
     scout.bindSource(0, &scoutSource);
     scout.run(1'000'000);
@@ -327,7 +326,7 @@ TEST(Auditor, CrashInsideTheDrainToBoundaryWindowRecoversClean)
         system.seedMemory(prog.initialMemory());
         auto oracle = std::make_shared<StoreOracle>();
         Auditor aud(system.core(0), system.memory(), oracle);
-        aud.attach();
+        system.core(0).attach(&aud);
         ProgramExecutor source(prog);
         system.bindSource(0, &source);
 
@@ -363,7 +362,7 @@ TEST(Auditor, BackToBackZeroLengthRegionsStayClean)
     BoundaryRecorder recorder;
     System scout(ppaConfig());
     scout.seedMemory(prog.initialMemory());
-    scout.core(0).attachAuditObserver(&recorder);
+    scout.core(0).attach(&recorder);
     ProgramExecutor scoutSource(prog);
     scout.bindSource(0, &scoutSource);
     scout.run(1'000'000);
@@ -378,7 +377,7 @@ TEST(Auditor, BackToBackZeroLengthRegionsStayClean)
     clean.seedMemory(prog.initialMemory());
     auto cleanOracle = std::make_shared<StoreOracle>();
     Auditor cleanAud(clean.core(0), clean.memory(), cleanOracle);
-    cleanAud.attach();
+    clean.core(0).attach(&cleanAud);
     ProgramExecutor cleanSource(prog);
     clean.bindSource(0, &cleanSource);
     clean.run(1'000'000);
@@ -393,7 +392,7 @@ TEST(Auditor, BackToBackZeroLengthRegionsStayClean)
         system.seedMemory(prog.initialMemory());
         auto oracle = std::make_shared<StoreOracle>();
         Auditor aud(system.core(0), system.memory(), oracle);
-        aud.attach();
+        system.core(0).attach(&aud);
         ProgramExecutor source(prog);
         system.bindSource(0, &source);
 

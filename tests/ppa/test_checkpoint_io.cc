@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "check/observer.hh"
+#include "obs/event_sink.hh"
 #include "ppa/checkpoint_io.hh"
 #include "sim/system.hh"
 #include "workload/kernels.hh"
@@ -182,7 +182,7 @@ namespace
 {
 
 /** Records the cycle of every region-boundary completion. */
-struct BoundaryRecorder : check::PipelineObserver
+struct BoundaryRecorder : obs::EventSink
 {
     Cycle cur = 0;
     std::vector<Cycle> boundaries;
@@ -196,8 +196,8 @@ struct BoundaryRecorder : check::PipelineObserver
 TEST(CheckpointIo, FailureExactlyAtRegionBoundaryCycle)
 {
     // Edge case: the failure cycle coincides exactly with a region
-    // boundary. First run records the boundary cycles via the audit
-    // observer hooks; a fresh, deterministic rerun is then killed at
+    // boundary. First run records the boundary cycles through an event
+    // sink; a fresh, deterministic rerun is then killed at
     // precisely such a cycle and must recover to the golden state.
     Program prog = kernels::hashTableUpdate(120);
     ProgramExecutor golden(prog);
@@ -212,7 +212,7 @@ TEST(CheckpointIo, FailureExactlyAtRegionBoundaryCycle)
         ProgramExecutor source(prog);
         probe.bindSource(0, &source);
         BoundaryRecorder rec;
-        probe.core(0).attachAuditObserver(&rec);
+        probe.core(0).attach(&rec);
         probe.run(40'000'000);
         ASSERT_TRUE(probe.allDone());
         boundaries = rec.boundaries;

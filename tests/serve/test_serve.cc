@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "check/auditor.hh"
 #include "serve/serve.hh"
 #include "sim/run.hh"
 
@@ -242,6 +244,55 @@ TEST(Serve, FailureViewsNeverPerturbTheRun)
     for (const ServeVariantStats &v : viewed.variants)
         ASSERT_EQ(v.failures.size(), 8u);
     EXPECT_EQ(serveToJson(plain), jsonWithoutFailures(viewed));
+}
+
+TEST(Serve, AuditorsAndTelemetryShareCoresWithAckTrackers)
+{
+    // Per-core auditors sharing one oracle and telemetry join serve's
+    // ack trackers in each core's sink list. The acks and the durable
+    // frontier must be those of an unwatched run, and the auditors must
+    // see the serving traffic and find it clean.
+    ServeConfig cfg = smallConfig();
+    ServeRun plain = makeServeRun(cfg, ServeVariant::Ppa);
+    cfg.telemetry = true;
+    ServeRun audited = makeServeRun(cfg, ServeVariant::Ppa);
+    sim::Run &run = *audited.run;
+    System &sys = run.system();
+    auto oracle = std::make_shared<check::StoreOracle>();
+    std::vector<check::Auditor *> auditors;
+    for (unsigned t = 0; t < cfg.threads; ++t) {
+        auditors.push_back(&run.watch<check::Auditor>(
+            t, sys.core(t), sys.memory(), oracle));
+    }
+    run.attachTelemetry();
+
+    for (Cycle stop = 512; !plain.run->system().allDone(); stop += 512) {
+        plain.run->system().runUntilCycle(stop);
+        sys.runUntilCycle(stop);
+        ASSERT_EQ(sys.cycle(), plain.run->system().cycle());
+        sim::Run::CrashView a = plain.run->crashView(plain.frontier);
+        sim::Run::CrashView b = run.crashView(audited.frontier);
+        EXPECT_EQ(a.cut, b.cut) << "cycle " << stop;
+        EXPECT_EQ(a.words, b.words) << "cycle " << stop;
+        EXPECT_EQ(a.csq, b.csq) << "cycle " << stop;
+    }
+    EXPECT_TRUE(sys.allDone());
+
+    std::size_t acked = 0;
+    for (unsigned t = 0; t < cfg.threads; ++t) {
+        EXPECT_EQ(*plain.acks[t], *audited.acks[t]) << "core " << t;
+        acked += audited.acks[t]->size();
+    }
+    EXPECT_EQ(acked, cfg.requests);
+    for (const check::Auditor *aud : auditors) {
+        EXPECT_GT(aud->eventCount(), 0u);
+        EXPECT_GT(aud->regionsAudited(), 0u);
+        EXPECT_EQ(aud->violationCount(), 0u)
+            << (aud->violations().empty()
+                    ? std::string()
+                    : aud->violations().front().what);
+    }
+    EXPECT_GT(run.harvestTelemetry().coveredCycles, 0u);
 }
 
 TEST(Serve, VariantTokensRoundTrip)

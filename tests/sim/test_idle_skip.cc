@@ -6,7 +6,7 @@
  * reference, System::tick(): two identical machines, one ticked cycle
  * by cycle and one advanced to checkpoints a few hundred cycles apart,
  * must agree on every counter, histogram and region statistic, and on
- * the cycles the audit observers see.
+ * the cycles the event sinks see.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "isa/builder.hh"
 #include "mem/nvm.hh"
 #include "mem/write_buffer.hh"
+#include "obs/event_sink.hh"
 #include "obs/telemetry.hh"
 #include "serve/request_source.hh"
 #include "sim/report.hh"
@@ -35,8 +36,8 @@ namespace
 
 constexpr Cycle kCheckpointEvery = 250;
 
-/** Records the cycles at which persistency events reach an observer. */
-struct EventRecorder : check::PipelineObserver
+/** Records the cycles at which persistency events reach a sink. */
+struct EventRecorder : obs::EventSink
 {
     Cycle now = 0;
     std::vector<Cycle> issues;
@@ -45,31 +46,22 @@ struct EventRecorder : check::PipelineObserver
     std::vector<Cycle> completes;
 
     void onCycle(Cycle cycle) override { now = cycle; }
+    void onPersistIssue(Addr, unsigned) override { issues.push_back(now); }
     void
-    onPersistIssue(Addr line_addr, unsigned store_count) override
+    onPersistEnqueue(Addr, Word, bool) override
     {
-        (void)line_addr;
-        (void)store_count;
-        issues.push_back(now);
-    }
-    void
-    onPersistEnqueue(Addr addr, Word value, bool coalesced) override
-    {
-        (void)addr;
-        (void)value;
-        (void)coalesced;
         enqueues.push_back(now);
     }
     void
-    onRegionBoundaryStart(RegionEndCause cause) override
+    onRegionBoundaryStart(Cycle cycle, RegionEndCause) override
     {
-        (void)cause;
-        starts.push_back(now);
+        starts.push_back(cycle);
     }
     void onRegionBoundaryComplete() override { completes.push_back(now); }
 };
 
-/** One machine and the recorders watching its cores. */
+/** One machine and the recorders watching its cores: two per core,
+ *  recorders[2t] and recorders[2t + 1], which must see the same. */
 struct Machine
 {
     std::unique_ptr<sim::Run> run;
@@ -89,9 +81,8 @@ makeMachine(SystemVariant variant, unsigned threads,
     build(*m.run);
     m.run->bindSources();
     for (unsigned t = 0; t < threads; ++t) {
-        EventRecorder &rec = m.run->watch<EventRecorder>(t);
-        m.run->system().memory().writeBuffer(t).setObserver(&rec);
-        m.recorders.push_back(&rec);
+        m.recorders.push_back(&m.run->watch<EventRecorder>(t));
+        m.recorders.push_back(&m.run->watch<EventRecorder>(t));
     }
     return m;
 }
@@ -186,15 +177,30 @@ expectSameState(Machine &ref, Machine &fast, const std::string &where)
 }
 
 void
+expectSameEvents(const EventRecorder &a, const EventRecorder &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.issues, b.issues) << what;
+    EXPECT_EQ(a.enqueues, b.enqueues) << what;
+    EXPECT_EQ(a.starts, b.starts) << what;
+    EXPECT_EQ(a.completes, b.completes) << what;
+}
+
+/** Both machines saw the same events, and every sink on a core saw
+ *  what its twin saw. */
+void
 expectSameEvents(const Machine &ref, const Machine &fast)
 {
-    for (std::size_t t = 0; t < ref.recorders.size(); ++t) {
-        const EventRecorder &a = *ref.recorders[t];
-        const EventRecorder &b = *fast.recorders[t];
-        EXPECT_EQ(a.issues, b.issues) << "core " << t;
-        EXPECT_EQ(a.enqueues, b.enqueues) << "core " << t;
-        EXPECT_EQ(a.starts, b.starts) << "core " << t;
-        EXPECT_EQ(a.completes, b.completes) << "core " << t;
+    for (std::size_t i = 0; i < ref.recorders.size(); ++i) {
+        std::string core = "core " + std::to_string(i / 2);
+        expectSameEvents(*ref.recorders[i], *fast.recorders[i],
+                         core + " sink " + std::to_string(i % 2));
+        if (i % 2 == 1) {
+            expectSameEvents(*ref.recorders[i - 1], *ref.recorders[i],
+                             core + " twin sinks");
+            expectSameEvents(*fast.recorders[i - 1], *fast.recorders[i],
+                             core + " twin sinks");
+        }
     }
 }
 
@@ -263,6 +269,13 @@ TEST_P(IdleSkipLockstep, MatchesPerCycleTicks)
     Machine ref = makeMachine(c.variant, c.threads, k, streams(c.profile));
     Machine fast = makeMachine(c.variant, c.threads, k, streams(c.profile));
     lockstep(ref, fast, k.instsPerCore * 400);
+    if (c.variant != SystemVariant::Ppa)
+        return;
+    // Every sink gets the write buffer's events, not only the first.
+    for (const EventRecorder *rec : fast.recorders) {
+        EXPECT_FALSE(rec->enqueues.empty());
+        EXPECT_FALSE(rec->issues.empty());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
