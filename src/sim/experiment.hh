@@ -159,7 +159,9 @@ struct ExperimentKnobs
      * Attach the obs::Telemetry collector: sampled counter series,
      * region/power timelines, and per-cycle stall attribution land in
      * RunStats::telemetry (serialized as `stats.telemetry`). Off by
-     * default; the off path costs one null-pointer test per hook site.
+     * default; with it off no attached sink classifies cycles, so Core
+     * sends no `onCycleEnd` or `onStructuralStall` and keeps stall
+     * attribution off.
      * The enabled collector must cost under 5% of wall time; CI's
      * perfbench-smoke job gates that (docs/TELEMETRY.md). Read-only
      * instrumentation — simulated behaviour and every other stat are

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -40,29 +41,30 @@ payloadBytes(const std::vector<std::uint8_t> &image,
 }
 
 /**
- * Strict hex parse of a manifest CRC field. Unlike std::stoul this
- * never throws: empty input, non-hex characters, trailing garbage,
- * and values past 32 bits all return false — a corrupt manifest must
- * surface as a diagnostic, not an uncaught exception.
+ * Strict parse of one unsigned manifest field in @p base (10 or 16).
+ * Unlike `istream >>` or std::stoul this never throws and rejects a
+ * sign, whitespace, non-digit characters, trailing garbage and values
+ * past @p out's range — a corrupt manifest must surface as a
+ * diagnostic, not as an uncaught exception or a wrapped-around count.
  */
+template <typename T>
 bool
-parseHexCrc(const std::string &text, std::uint32_t &out)
+parseUnsignedField(const std::string &text, int base, T &out)
 {
     if (text.empty())
         return false;
     for (char ch : text) {
-        bool hex = (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f') ||
-                   (ch >= 'A' && ch <= 'F');
-        if (!hex)
+        bool digit = (ch >= '0' && ch <= '9') ||
+                     (base == 16 && ((ch >= 'a' && ch <= 'f') ||
+                                     (ch >= 'A' && ch <= 'F')));
+        if (!digit)
             return false;
     }
     errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 16);
-    if (errno == ERANGE || end != text.c_str() + text.size() ||
-        v > 0xFFFFFFFFull)
+    unsigned long long v = std::strtoull(text.c_str(), nullptr, base);
+    if (errno == ERANGE || v > std::numeric_limits<T>::max())
         return false;
-    out = static_cast<std::uint32_t>(v);
+    out = static_cast<T>(v);
     return true;
 }
 
@@ -112,45 +114,64 @@ TraceSet::load(const std::string &dir_, std::string &error)
         if (sawEnd)
             return failLoad("content after 'end' sentinel");
         std::istringstream ls(line);
-        std::string key;
-        ls >> key;
+        std::vector<std::string> f;
+        for (std::string word; ls >> word;)
+            f.push_back(std::move(word));
+        const std::string key = f.empty() ? "" : f[0];
+        // Every field but the key, the app name and a shard's file name
+        // is an unsigned number; each line has exactly its fields.
+        bool ok = true;
+        std::size_t fields = 2;
+        auto num = [&](std::size_t i, auto &out) {
+            ok = ok && i < f.size() && parseUnsignedField(f[i], 10, out);
+        };
         if (key == "app") {
-            ls >> meta.app;
+            if (f.size() > 1)
+                meta.app = f[1];
         } else if (key == "seed") {
-            ls >> meta.seed;
+            num(1, meta.seed);
         } else if (key == "threads") {
-            ls >> meta.threads;
+            num(1, meta.threads);
         } else if (key == "instsPerThread") {
-            ls >> meta.instsPerThread;
+            num(1, meta.instsPerThread);
         } else if (key == "shardInsts") {
-            ls >> meta.shardInsts;
+            num(1, meta.shardInsts);
         } else if (key == "blockInsts") {
-            ls >> meta.blockInsts;
+            num(1, meta.blockInsts);
         } else if (key == "shard") {
             ShardInfo s;
-            std::string crcHex;
-            ls >> s.thread >> s.seq >> s.file >> s.firstIndex >> s.count >>
-                crcHex;
-            if (!ls)
+            ok = f.size() == 7;
+            num(1, s.thread);
+            num(2, s.seq);
+            num(4, s.firstIndex);
+            num(5, s.count);
+            if (!ok)
                 return failLoad("malformed shard line: '" + line + "'");
-            if (!parseHexCrc(crcHex, s.crc32))
+            s.file = f[3];
+            if (!parseUnsignedField(f[6], 16, s.crc32))
                 return failLoad("shard line has a malformed crc32 "
-                                "field '" + crcHex + "'");
+                                "field '" + f[6] + "'");
             shards.push_back(std::move(s));
-            continue; // shard lines carry >1 token; skip the check below
+            continue;
         } else if (key == "end") {
             sawEnd = true;
-            continue;
+            fields = 1;
         } else {
             return failLoad("unknown key '" + key + "'");
         }
-        if (!ls)
+        if (!ok || f.size() != fields)
             return failLoad("malformed line: '" + line + "'");
     }
     if (!sawEnd)
         return failLoad("missing 'end' sentinel (truncated manifest)");
-    if (meta.threads == 0 || meta.blockInsts == 0)
-        return failLoad("zero threads or blockInsts");
+    if (meta.threads == 0 || meta.blockInsts == 0 ||
+        meta.instsPerThread == 0)
+        return failLoad("zero threads, blockInsts or instsPerThread");
+    // Every thread has at least one shard; bound the allocation below.
+    if (meta.threads > shards.size())
+        return failLoad("threads " + std::to_string(meta.threads) +
+                        " exceeds the " + std::to_string(shards.size()) +
+                        " shard lines");
 
     byThread.assign(meta.threads, {});
     for (const ShardInfo &s : shards) {
@@ -212,20 +233,9 @@ TraceSet::threadInsts(unsigned thread) const
 TraceReplaySource::TraceReplaySource(const TraceSet &set_, unsigned thread_)
     : set(set_), thread(thread_), totalInsts(set_.threadInsts(thread_))
 {
-    producer = std::thread([this] { producerLoop(); });
 }
 
-TraceReplaySource::~TraceReplaySource()
-{
-    {
-        std::lock_guard<std::mutex> l(mu);
-        stopping = true;
-    }
-    cvProducer.notify_one();
-    producer.join();
-}
-
-TraceReplaySource::Buffer
+void
 TraceReplaySource::decodeBlockAt(std::uint64_t index)
 {
     const std::vector<ShardInfo> &list = set.threadShards(thread);
@@ -273,135 +283,40 @@ TraceReplaySource::decodeBlockAt(std::uint64_t index)
     std::size_t begin, end;
     shardBlockRange(shardHeader, shardFooter, shardImage, b, begin, end);
 
-    Buffer buf;
-    buf.firstIndex = s.firstIndex +
-                     static_cast<std::uint64_t>(b) * shardHeader.blockInsts;
-    std::uint64_t expect = blockInstCount(shardHeader, b);
-    buf.insts.reserve(static_cast<std::size_t>(expect));
+    blockFirst = s.firstIndex +
+                 static_cast<std::uint64_t>(b) * shardHeader.blockInsts;
+    block.clear();
     BlockDecoder dec(shardImage.data() + begin, end - begin);
     DynInst inst;
     while (dec.next(inst))
-        buf.insts.push_back(inst);
+        block.push_back(inst);
     if (!dec.error().empty()) {
         fatal("trace shard '", s.file, "' block ", b, ": ", dec.error(),
               " (run `ppa_cli trace verify`)");
     }
-    if (buf.insts.size() != expect) {
+    std::uint64_t expect = blockInstCount(shardHeader, b);
+    if (block.size() != expect) {
         fatal("trace shard '", s.file, "' block ", b, " decoded ",
-              buf.insts.size(), " records, expected ", expect);
-    }
-    return buf;
-}
-
-void
-TraceReplaySource::producerLoop()
-{
-    std::uint64_t localGen = ~std::uint64_t{0};
-    std::uint64_t pos = 0;
-    bool doneForGen = false;
-
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> l(mu);
-            cvProducer.wait(l, [&] {
-                return stopping || gen != localGen ||
-                       (!doneForGen && queue.size() < queueDepth);
-            });
-            if (stopping)
-                return;
-            if (gen != localGen) {
-                localGen = gen;
-                pos = seekTarget;
-                doneForGen = false;
-            }
-            if (doneForGen)
-                continue;
-        }
-
-        // Decode outside the lock: this is the double-buffered overlap
-        // with the consumer draining already-decoded blocks.
-        Buffer buf;
-        if (pos >= totalInsts) {
-            buf.last = true;
-            buf.firstIndex = pos;
-        } else {
-            buf = decodeBlockAt(pos);
-        }
-        buf.gen = localGen;
-        bool last = buf.last;
-        std::uint64_t nextPos = buf.firstIndex + buf.insts.size();
-
-        {
-            std::lock_guard<std::mutex> l(mu);
-            if (gen != localGen)
-                continue; // seekTo raced us; this buffer is stale
-            queue.push_back(std::move(buf));
-            doneForGen = last;
-            pos = nextPos;
-        }
-        cvConsumer.notify_one();
+              block.size(), " records, expected ", expect);
     }
 }
 
 bool
 TraceReplaySource::next(DynInst &out)
 {
-    if (exhausted)
+    if (cursor >= totalInsts)
         return false;
-    for (;;) {
-        if (haveCurrent) {
-            if (offset < current.insts.size()) {
-                out = current.insts[offset];
-                out.index = current.firstIndex + offset;
-                ++offset;
-                ++cursor;
-                return true;
-            }
-            haveCurrent = false;
-        }
-
-        {
-            std::unique_lock<std::mutex> l(mu);
-            cvConsumer.wait(l, [&] { return !queue.empty(); });
-            current = std::move(queue.front());
-            queue.pop_front();
-            if (current.gen != gen)
-                continue; // stale buffer from before a seekTo
-        }
-        cvProducer.notify_one();
-
-        if (current.last) {
-            exhausted = true;
-            return false;
-        }
-        if (current.firstIndex + current.insts.size() <= cursor)
-            continue; // fully before the cursor (post-seek catch-up)
-        PPA_ASSERT(cursor >= current.firstIndex,
-                   "replay buffer starts past the cursor");
-        offset = static_cast<std::size_t>(cursor - current.firstIndex);
-        haveCurrent = true;
-    }
+    if (cursor < blockFirst || cursor - blockFirst >= block.size())
+        decodeBlockAt(cursor);
+    out = block[static_cast<std::size_t>(cursor - blockFirst)];
+    out.index = cursor++;
+    return true;
 }
 
 void
 TraceReplaySource::seekTo(std::uint64_t index)
 {
-    // Trivial seek: the consumer cursor is already there and the
-    // stream is live, so discarding the prefetch queue would only
-    // force the producer to re-decode blocks it already delivered.
-    if (index == cursor && !exhausted)
-        return;
-    {
-        std::lock_guard<std::mutex> l(mu);
-        ++gen;
-        seekTarget = index;
-        queue.clear();
-    }
     cursor = index;
-    haveCurrent = false;
-    exhausted = false;
-    offset = 0;
-    cvProducer.notify_one();
 }
 
 // ---------------------------------------------------------------------

@@ -5,20 +5,15 @@
  *
  * TraceReplaySource is the trace-driven counterpart of
  * StreamGenerator: one per recorded thread, feeding the core through
- * the DynInstSource interface. Decoding runs on a background prefetch
- * thread that stays one block ahead of the core (double buffering), so
- * replay throughput tracks generator-driven simulation.
+ * the DynInstSource interface. It decodes one block at a time on the
+ * thread that calls next(), when the cursor leaves the decoded block.
  */
 
 #ifndef PPA_TRACE_READER_HH
 #define PPA_TRACE_READER_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "isa/source.hh"
@@ -69,68 +64,42 @@ class TraceSet
 /**
  * DynInstSource that replays one recorded thread of a TraceSet.
  *
- * A background producer thread reads shard files and decodes blocks
- * into a bounded two-deep buffer queue; next() drains decoded buffers
- * without touching the disk or the varint decoder. seekTo() (used by
- * power-failure recovery) discards in-flight buffers via a generation
- * counter and repositions the producer at the enclosing block.
+ * next() returns instructions from the one decoded block it holds and
+ * decodes the block that holds the cursor whenever the cursor leaves
+ * it, reading a shard file only when the block lies in another shard.
+ * seekTo() (used by power-failure recovery and time-parallel segment
+ * positioning) only moves the cursor, so a seek costs at most one
+ * block decode, paid by the next() that follows it.
  *
- * Corrupt or unreadable shards are fatal here — run `trace verify`
- * for a diagnosis instead of trusting a damaged replay.
+ * Corrupt or unreadable shards are fatal here, on the replaying
+ * thread — run `trace verify` for a diagnosis instead of trusting a
+ * damaged replay.
  */
 class TraceReplaySource : public DynInstSource
 {
   public:
     TraceReplaySource(const TraceSet &set, unsigned thread);
-    ~TraceReplaySource() override;
-
-    TraceReplaySource(const TraceReplaySource &) = delete;
-    TraceReplaySource &operator=(const TraceReplaySource &) = delete;
 
     bool next(DynInst &out) override;
     void seekTo(std::uint64_t index) override;
 
   private:
-    /** One decoded block in flight between producer and consumer. */
-    struct Buffer
-    {
-        std::uint64_t gen = 0;
-        std::uint64_t firstIndex = 0;
-        bool last = false; ///< end-of-trace sentinel
-        std::vector<DynInst> insts;
-    };
-
-    void producerLoop();
-    Buffer decodeBlockAt(std::uint64_t index);
+    /** Decode the block holding @p index into `block`. */
+    void decodeBlockAt(std::uint64_t index);
 
     const TraceSet &set;
     const unsigned thread;
     const std::uint64_t totalInsts;
 
-    // Consumer-side cursor (only touched from the core's thread).
-    std::uint64_t cursor = 0;
-    Buffer current;
-    std::size_t offset = 0;
-    bool haveCurrent = false;
-    bool exhausted = false;
+    std::uint64_t cursor = 0;      ///< index the next next() returns
+    std::uint64_t blockFirst = 0;  ///< stream index of block[0]
+    std::vector<DynInst> block;    ///< the decoded block (reused)
 
-    // Producer-side shard cache (only touched from the producer).
+    // The shard that holds `block`, parsed.
     int cachedShard = -1;
     std::vector<std::uint8_t> shardImage;
     ShardHeader shardHeader;
     ShardFooter shardFooter;
-
-    // Shared state.
-    std::mutex mu;
-    std::condition_variable cvProducer;
-    std::condition_variable cvConsumer;
-    std::deque<Buffer> queue;
-    std::uint64_t gen = 0;
-    std::uint64_t seekTarget = 0;
-    bool stopping = false;
-    std::thread producer;
-
-    static constexpr std::size_t queueDepth = 2;
 };
 
 /** Outcome of verifyTrace(). */

@@ -106,21 +106,49 @@ TEST(TraceReplay, SeekToMatchesGeneratorSeek)
     trace::TraceReplaySource replay(set, 0);
     StreamGenerator gen(p, 0, spec.seed, spec.instsPerThread);
 
+    // Both streams read from `from` for up to `limit` instructions or
+    // to the end, where both must end together.
+    DynInst a, b;
+    auto compareFrom = [&](std::uint64_t from, std::uint64_t limit) {
+        for (std::uint64_t i = from; i < from + limit; ++i) {
+            bool more = gen.next(a);
+            ASSERT_EQ(replay.next(b), more) << "from " << from << " at " << i;
+            if (!more)
+                return;
+            expectSameInst(b, a, i);
+        }
+    };
+    auto seekBoth = [&](std::uint64_t t) {
+        replay.seekTo(t);
+        gen.seekTo(t);
+    };
+
     // Forward, backward, block-boundary, and shard-boundary targets;
     // exactly the motions power-failure recovery performs.
     const std::uint64_t targets[] = {100, 1024, 127, 128, 3999, 0, 2500};
-    DynInst a, b;
     for (std::uint64_t t : targets) {
-        replay.seekTo(t);
-        gen.seekTo(t);
-        std::uint64_t checked = 0;
-        for (std::uint64_t i = t;
-             i < spec.instsPerThread && checked < 300; ++i, ++checked) {
-            ASSERT_TRUE(gen.next(a));
-            ASSERT_TRUE(replay.next(b)) << "target " << t << " at " << i;
-            expectSameInst(b, a, i);
-        }
+        seekBoth(t);
+        compareFrom(t, 300);
     }
+
+    // Read to the end, then seek back to the start and into the middle
+    // of a block: the exhausted stream must come alive again.
+    compareFrom(2800, spec.instsPerThread);
+    ASSERT_FALSE(replay.next(b));
+    for (std::uint64_t t : {std::uint64_t{0}, std::uint64_t{1000}}) {
+        seekBoth(t);
+        compareFrom(t, 300);
+    }
+
+    // A seek to the end leaves nothing to read.
+    seekBoth(spec.instsPerThread);
+    EXPECT_FALSE(gen.next(a));
+    EXPECT_FALSE(replay.next(b));
+
+    // Two seeks with no read between them: only the last one counts.
+    replay.seekTo(3100);
+    seekBoth(700);
+    compareFrom(700, 300);
 }
 
 TEST(TraceReplay, VerifyDetectsCorruptionTruncationAndMissingShard)
@@ -233,6 +261,39 @@ TEST(TraceReplay, LoadRejectsCorruptManifestGracefully)
     auto endAt = original.rfind("end");
     ASSERT_NE(endAt, std::string::npos);
     expectLoadFails(original.substr(0, endAt), "end");
+
+    // Numeric keys take one unsigned decimal: a sign would wrap around
+    // (`threads -1` read as 4,294,967,295 and sized an allocation from
+    // it) and a trailing token used to be ignored.
+    auto replaceLine = [&](const std::string &key, const std::string &repl) {
+        std::string text = original;
+        auto at = text.find("\n" + key + " ");
+        EXPECT_NE(at, std::string::npos) << key;
+        auto eol = text.find('\n', at + 1);
+        return text.substr(0, at + 1) + repl + text.substr(eol);
+    };
+    expectLoadFails(replaceLine("seed", "seed -5"), "malformed");
+    expectLoadFails(replaceLine("threads", "threads -1"), "malformed");
+    expectLoadFails(replaceLine("threads", "threads 1 x"), "malformed");
+    expectLoadFails(replaceLine("blockInsts", "blockInsts +256"),
+                    "malformed");
+    expectLoadFails(replaceLine("instsPerThread", "instsPerThread 1000 1"),
+                    "malformed");
+    expectLoadFails(replaceLine("app", "app gcc mcf"), "malformed");
+    expectLoadFails(original + "end\n", "after 'end'");
+    auto shardAt = original.find("\nshard ") + 1;
+    auto shardEol = original.find('\n', shardAt);
+    expectLoadFails(original.substr(0, shardEol) + " extra" +
+                        original.substr(shardEol),
+                    "malformed shard line");
+    expectLoadFails(replaceLine("shard", "shard 0 0 x -1 1000 0"),
+                    "malformed shard line");
+    // No recorder writes an empty stream, and a thread count beyond the
+    // shard lines is rejected before anything is sized from it.
+    expectLoadFails(replaceLine("instsPerThread", "instsPerThread 0"),
+                    "instsPerThread");
+    expectLoadFails(replaceLine("threads", "threads 4000000000"),
+                    "exceeds");
 
     // The pristine text still loads.
     writeManifest(original);
