@@ -6,7 +6,8 @@
  * (flat waiter lists, ring buffers, a calendar event wheel — see
  * docs/PERF.md). None of that may change simulated behaviour: this
  * suite runs every workload profile through every pipeline-relevant
- * system variant and asserts that cycle counts, region boundaries,
+ * system variant, plus eADR/BBB and memory mode with an L3 for the
+ * walk below the L1s, and asserts that cycle counts, region boundaries,
  * store traffic, and stall accounting are identical to the golden
  * numbers recorded from the pre-optimization scheduler
  * (tests/core/sched_equiv_golden.txt).
@@ -118,13 +119,23 @@ equivalenceGrid()
             jobs.push_back({p, v, knobs});
         }
     }
+    // Appended after the grid above so its golden lines stay as they
+    // are: the app-direct walk (no DRAM cache) and the memory-mode
+    // walk through an L3.
+    ExperimentKnobs l3 = knobs;
+    l3.l3Cache = true;
+    for (const WorkloadProfile &p : allProfiles()) {
+        jobs.push_back({p, SystemVariant::EadrBbb, knobs});
+        jobs.push_back({p, SystemVariant::MemoryMode, l3});
+    }
     return jobs;
 }
 
 std::string
 jobKey(const SweepJob &job)
 {
-    return job.profile.name + "/" + variantToken(job.variant);
+    return job.profile.name + "/" + variantToken(job.variant) +
+           (job.knobs.l3Cache ? "+l3" : "");
 }
 
 std::map<std::string, Fingerprint>
