@@ -89,17 +89,6 @@ DramCache::contains(Addr addr) const
 }
 
 void
-DramCache::updateIfPresent(Addr addr)
-{
-    Line &line = lines[setIndex(addr)];
-    if (lines.valid(line) && line.tag == tagOf(addr)) {
-        // A persist wrote the NVM copy; the cached copy is now clean
-        // relative to NVM.
-        line.dirty = false;
-    }
-}
-
-void
 DramCache::cleanLine(Addr addr)
 {
     Line &line = lines[setIndex(addr)];

@@ -40,11 +40,8 @@ class DramCache
     /** Probe without side effects. */
     bool contains(Addr addr) const;
 
-    /** Update a resident line's data presence after a persist
-     *  (write-through of PPA's asynchronous store writeback). */
-    void updateIfPresent(Addr addr);
-
-    /** Clear a line's dirty bit. */
+    /** Clear a resident line's dirty bit (after its data has been
+     *  persisted); no-op when the line is absent. */
     void cleanLine(Addr addr);
 
     /** All dirty line addresses (final drain / eADR-style flush). */

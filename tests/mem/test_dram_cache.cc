@@ -68,20 +68,20 @@ TEST(DramCache, CleanVictimNotReported)
     EXPECT_FALSE(r.dirtyVictim.has_value());
 }
 
-TEST(DramCache, UpdateIfPresentCleansLine)
+TEST(DramCache, CleanLineCleansResidentLine)
 {
     DramCache d(smallDramCache());
     d.access(0x40, true);
     EXPECT_EQ(d.dirtyLines().size(), 1u);
-    d.updateIfPresent(0x48); // persist wrote NVM: copy now clean
+    d.cleanLine(0x48); // persist wrote NVM: copy now clean
     EXPECT_TRUE(d.dirtyLines().empty());
     EXPECT_TRUE(d.contains(0x40));
 }
 
-TEST(DramCache, UpdateIfPresentIgnoresAbsentLine)
+TEST(DramCache, CleanLineIgnoresAbsentLine)
 {
     DramCache d(smallDramCache());
-    d.updateIfPresent(0x40);
+    d.cleanLine(0x40);
     EXPECT_FALSE(d.contains(0x40));
 }
 
@@ -137,10 +137,6 @@ TEST(DramCache, ReusedArrayMatchesFreshAllocationInLockstep)
                         << "step " << step;
                     break;
                   }
-                  case 2:
-                    reused.updateIfPresent(a);
-                    fresh.updateIfPresent(a);
-                    break;
                   default:
                     reused.cleanLine(a);
                     fresh.cleanLine(a);
