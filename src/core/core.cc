@@ -814,7 +814,7 @@ Core::regionBoundaryConditionsMet()
     // counter register reads zero, Section 4.3).
     if (!committedStoreFifo.empty())
         return false;
-    if (memory.outstandingPersists(coreId, curCycle) != 0) {
+    if (memory.outstandingPersists(coreId) != 0) {
         // Tell the write buffer to stop write-combining: the barrier
         // needs the residual entries out now.
         memory.writeBuffer(coreId).setDraining(true);
@@ -991,8 +991,7 @@ Core::commitOne(RobEntry &e)
         Word delta = readSrc(e, 0);
         Word old = memory.committed().read(inst.memAddr);
         if (cfg.mode == PersistMode::Ppa) {
-            memory.atomicPersistWrite(coreId, inst.memAddr, old + delta,
-                                      curCycle);
+            memory.atomicPersistWrite(inst.memAddr, old + delta, curCycle);
             for (obs::EventSink *s : sinks)
                 s->onAtomicCommit(inst.memAddr, old + delta);
         } else {

@@ -108,9 +108,8 @@ WriteBuffer::nextIssueCycle(Cycle now, const Nvm &nvm) const
 }
 
 unsigned
-WriteBuffer::outstandingStores(Cycle now)
+WriteBuffer::outstandingStores() const
 {
-    (void)now;
     unsigned n = 0;
     for (const auto &e : entries)
         n += e.storeCount;

@@ -70,14 +70,7 @@ class WriteBuffer
      * Number of stores whose persistence has not yet been acknowledged
      * (the paper's L1D-controller counter register).
      */
-    unsigned outstandingStores(Cycle now);
-
-    /** True when no entry is buffered or in flight. */
-    bool
-    empty(Cycle now)
-    {
-        return outstandingStores(now) == 0;
-    }
+    unsigned outstandingStores() const;
 
     /**
      * Force-drain for end-of-simulation: returns the cycle by which

@@ -37,7 +37,7 @@ void
 System::seedMemory(const MemImage &initial)
 {
     initial.forEachWord([&](Addr a, Word v) {
-        hierarchy->initializeWord(a, v);
+        hierarchy->recoveryWrite(a, v);
     });
 }
 

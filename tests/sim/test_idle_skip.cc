@@ -484,7 +484,7 @@ TEST(IdleSkip, DrainAllMatchesPerCycleTicks)
             ASSERT_TRUE(b.addStore(0x1000 + 0x40 * i, i, 10 * i));
         }
         Cycle t = 40;
-        while (b.outstandingStores(t) > 0)
+        while (b.outstandingStores() > 0)
             b.tick(t++, nvm_b, img_b);
         EXPECT_EQ(a.drainAll(40, nvm_a, img_a), t) << draining;
         EXPECT_EQ(nvm_a.writeCount(), nvm_b.writeCount());
