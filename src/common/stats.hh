@@ -50,6 +50,7 @@ class Average
     }
 
     double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
+    double total() const { return sum; }
     double min() const { return n ? lo : 0.0; }
     double max() const { return n ? hi : 0.0; }
     std::uint64_t count() const { return n; }

@@ -149,12 +149,6 @@ class MemHierarchy
         return *writeBuffers[core_id];
     }
 
-    double
-    l2MissRatio() const
-    {
-        return sharedCaches.front()->missRatio();
-    }
-
     const MemSystemParams &params() const { return cfg; }
 
   private:

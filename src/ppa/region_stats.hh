@@ -75,6 +75,9 @@ class RegionStats
     std::uint64_t regionCount() const { return regions.value(); }
     double avgStoresPerRegion() const { return regionStoreCount.mean(); }
     double avgOthersPerRegion() const { return regionOtherCount.mean(); }
+    /** Stores / other instructions summed over the ended regions. */
+    double regionStoreSum() const { return regionStoreCount.total(); }
+    double regionOtherSum() const { return regionOtherCount.total(); }
     std::uint64_t stallCycles() const
     {
         return boundaryStallCycles.value();

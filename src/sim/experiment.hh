@@ -132,9 +132,6 @@ struct ExperimentKnobs
     /** Per-segment re-convergence warmup prefix in instructions per
      *  core (stats discarded; clamped at stream start). */
     std::uint64_t tpWarmupInsts = 2'000;
-    /** SimPoint-style sampling: simulate only segments 0, N, 2N, ...
-     *  and extrapolate the rest (1 = simulate every segment). */
-    unsigned tpSampleStride = 1;
     /** Host threads for segment execution; 0 = min(segments,
      *  hardware). Scheduling metadata only: results are identical for
      *  any value (the time-parallel determinism contract). */
@@ -231,15 +228,10 @@ struct RunStats
     // Time-parallel provenance (populated when knobs.timeParallel >= 2;
     // see docs/PERF.md for the accuracy contract).
     unsigned tpSegments = 0;          ///< Segments in the plan
-    unsigned tpSimulatedSegments = 0; ///< Segments actually simulated
     std::uint64_t tpWarmupInsts = 0;  ///< Warmup prefix per segment
-    unsigned tpSampleStride = 1;      ///< Sampling stride (1 = exact)
     /** Cycles spent in discarded per-segment warmup prefixes (overlap
      *  work; not part of cycles/totalCycles). */
     std::uint64_t tpWarmupCycles = 0;
-    /** Sampled mode only: relative standard error of per-segment CPI
-     *  across the simulated segments (0 when every segment ran). */
-    double tpCpiRelStderr = 0.0;
 
     /** In-run telemetry (populated when knobs.telemetry is set;
      *  serialized additively as `stats.telemetry`). */

@@ -236,12 +236,8 @@ runStatsToJson(const RunStats &rs)
     // classic results are unchanged (schema stays additive).
     if (rs.tpSegments) {
         os << ", \"tp\": {\"segments\": " << rs.tpSegments
-           << ", \"simulatedSegments\": " << rs.tpSimulatedSegments
            << ", \"warmupInsts\": " << rs.tpWarmupInsts
-           << ", \"sampleStride\": " << rs.tpSampleStride
-           << ", \"warmupCycles\": " << rs.tpWarmupCycles
-           << ", \"cpiRelStderr\": "
-           << formatDouble(rs.tpCpiRelStderr) << "}";
+           << ", \"warmupCycles\": " << rs.tpWarmupCycles << "}";
     }
     // Telemetry: emitted only for telemetry-enabled runs, so classic
     // results are unchanged (schema stays additive).
@@ -279,7 +275,6 @@ knobsToJson(const ExperimentKnobs &k)
     if (k.timeParallel >= 2) {
         os << ", \"timeParallel\": " << k.timeParallel;
         os << ", \"tpWarmupInsts\": " << k.tpWarmupInsts;
-        os << ", \"tpSampleStride\": " << k.tpSampleStride;
         os << ", \"tpFailAt\": [";
         for (std::size_t i = 0; i < k.tpFailAt.size(); ++i) {
             os << (i ? ", " : "") << "{\"segment\": "

@@ -31,7 +31,7 @@ namespace metrics
  * backward compatible and do not require a bump. History in
  * docs/METRICS.md.
  */
-constexpr int schemaVersion = 1;
+constexpr int schemaVersion = 2;
 
 /** Escape @p s for embedding in a JSON string literal (no quotes). */
 std::string jsonEscape(const std::string &s);

@@ -289,25 +289,138 @@ Run::crashObserve(const std::vector<Addr> &observed)
     return view;
 }
 
+Counters::Counters(unsigned cores, std::size_t int_prf, std::size_t fp_prf)
+    : coreRegionCount(cores, 0), coreRegionStoreSum(cores, 0.0),
+      coreRegionOtherSum(cores, 0.0), freeInt(int_prf), freeFp(fp_prf)
+{}
+
+Counters &
+Counters::operator+=(const Counters &o)
+{
+    PPA_ASSERT(coreRegionCount.size() == o.coreRegionCount.size(),
+               "adding counters of different core counts");
+    committedInsts += o.committedInsts;
+    committedStores += o.committedStores;
+    regionCount += o.regionCount;
+    boundaryStall += o.boundaryStall;
+    renameStall += o.renameStall;
+    for (std::size_t t = 0; t < coreRegionCount.size(); ++t) {
+        coreRegionCount[t] += o.coreRegionCount[t];
+        coreRegionStoreSum[t] += o.coreRegionStoreSum[t];
+        coreRegionOtherSum[t] += o.coreRegionOtherSum[t];
+    }
+    nvmWrites += o.nvmWrites;
+    nvmReads += o.nvmReads;
+    nvmBytes += o.nvmBytes;
+    wpqStall += o.wpqStall;
+    l2Hits += o.l2Hits;
+    l2Misses += o.l2Misses;
+    coalesced += o.coalesced;
+    persist += o.persist;
+    freeInt.merge(o.freeInt);
+    freeFp.merge(o.freeFp);
+    return *this;
+}
+
+Counters
+operator-(Counters later, const Counters &earlier)
+{
+    PPA_ASSERT(later.coreRegionCount.size() == earlier.coreRegionCount.size(),
+               "subtracting counters of different core counts");
+    later.committedInsts -= earlier.committedInsts;
+    later.committedStores -= earlier.committedStores;
+    later.regionCount -= earlier.regionCount;
+    later.boundaryStall -= earlier.boundaryStall;
+    later.renameStall -= earlier.renameStall;
+    for (std::size_t t = 0; t < later.coreRegionCount.size(); ++t) {
+        later.coreRegionCount[t] -= earlier.coreRegionCount[t];
+        later.coreRegionStoreSum[t] -= earlier.coreRegionStoreSum[t];
+        later.coreRegionOtherSum[t] -= earlier.coreRegionOtherSum[t];
+    }
+    later.nvmWrites -= earlier.nvmWrites;
+    later.nvmReads -= earlier.nvmReads;
+    later.nvmBytes -= earlier.nvmBytes;
+    later.wpqStall -= earlier.wpqStall;
+    later.l2Hits -= earlier.l2Hits;
+    later.l2Misses -= earlier.l2Misses;
+    later.coalesced -= earlier.coalesced;
+    later.persist -= earlier.persist;
+    auto minus = [](const stats::Histogram &a, const stats::Histogram &b) {
+        std::vector<std::uint64_t> bins = a.binCounts();
+        const std::vector<std::uint64_t> &sub = b.binCounts();
+        PPA_ASSERT(bins.size() == sub.size(),
+                   "histogram size mismatch in counter delta");
+        for (std::size_t i = 0; i < bins.size(); ++i) {
+            PPA_ASSERT(bins[i] >= sub[i],
+                       "histogram bin decreased between snapshots");
+            bins[i] -= sub[i];
+        }
+        return stats::Histogram::fromBins(
+            std::move(bins), a.overflowCount() - b.overflowCount());
+    };
+    later.freeInt = minus(later.freeInt, earlier.freeInt);
+    later.freeFp = minus(later.freeFp, earlier.freeFp);
+    return later;
+}
+
+void
+Counters::fill(RunStats &rs, Cycle total_cycles) const
+{
+    const auto cores = static_cast<unsigned>(coreRegionCount.size());
+    rs.committedInsts = committedInsts;
+    rs.committedStores = committedStores;
+    rs.regionCount = regionCount;
+    // Stall counters accumulate per core but cycles count wall-clock:
+    // normalize to per-core stalls.
+    rs.boundaryStallCycles = boundaryStall / cores;
+    rs.renameStallNoRegCycles = renameStall / cores;
+
+    double region_stores = 0.0;
+    double region_others = 0.0;
+    unsigned cores_with_regions = 0;
+    for (unsigned t = 0; t < cores; ++t) {
+        if (coreRegionCount[t] > 0) {
+            auto n = static_cast<double>(coreRegionCount[t]);
+            region_stores += coreRegionStoreSum[t] / n;
+            region_others += coreRegionOtherSum[t] / n;
+            ++cores_with_regions;
+        }
+    }
+    if (cores_with_regions) {
+        rs.avgRegionStores = region_stores / cores_with_regions;
+        rs.avgRegionOthers = region_others / cores_with_regions;
+    }
+
+    rs.nvmWrites = nvmWrites;
+    rs.nvmReads = nvmReads;
+    rs.nvmBytesWritten = nvmBytes;
+    rs.wpqStallCycles = wpqStall;
+    std::uint64_t l2_accesses = l2Hits + l2Misses;
+    rs.l2MissRatio = l2_accesses ? static_cast<double>(l2Misses) /
+                                       static_cast<double>(l2_accesses)
+                                 : 0.0;
+    rs.coalescedStores = coalesced;
+    rs.persistOps = persist;
+    rs.freeIntHist = freeInt;
+    rs.freeFpHist = freeFp;
+    rs.ipc = total_cycles ? static_cast<double>(committedInsts) /
+                                static_cast<double>(total_cycles)
+                          : 0.0;
+}
+
 Counters
 Run::counters()
 {
-    Counters c;
+    Counters c(threads, sc.core.intPrfEntries, sc.core.fpPrfEntries);
     c.committedInsts = sys->totalCommitted();
-    c.freeInt = stats::Histogram(sc.core.intPrfEntries);
-    c.freeFp = stats::Histogram(sc.core.fpPrfEntries);
     MemHierarchy &mem = sys->memory();
     for (unsigned k = 0; k < threads; ++k) {
         const Core &core = sys->core(k);
         c.committedStores += core.committedStores();
         const RegionStats &reg = core.regionStats();
-        c.coreRegionCount.push_back(reg.regionCount());
-        c.coreRegionStoreSum.push_back(
-            reg.avgStoresPerRegion() *
-            static_cast<double>(reg.regionCount()));
-        c.coreRegionOtherSum.push_back(
-            reg.avgOthersPerRegion() *
-            static_cast<double>(reg.regionCount()));
+        c.coreRegionCount[k] = reg.regionCount();
+        c.coreRegionStoreSum[k] = reg.regionStoreSum();
+        c.coreRegionOtherSum[k] = reg.regionOtherSum();
         c.regionCount += reg.regionCount();
         c.boundaryStall += reg.stallCycles();
         c.renameStall += core.renameStallNoRegCycles();
@@ -328,47 +441,11 @@ Run::counters()
 void
 Run::fillStats(RunStats &rs, Cycle warm_cycle)
 {
-    Counters c = counters();
     rs.variant = variantId;
     rs.threads = threads;
     rs.totalCycles = sys->cycle();
     rs.cycles = sys->cycle() - warm_cycle;
-    rs.committedInsts = c.committedInsts;
-    rs.committedStores = c.committedStores;
-    rs.regionCount = c.regionCount;
-    // Stall counters accumulate per core but cycles count wall-clock:
-    // normalize to per-core stalls.
-    rs.boundaryStallCycles = c.boundaryStall / threads;
-    rs.renameStallNoRegCycles = c.renameStall / threads;
-
-    double region_stores = 0.0;
-    double region_others = 0.0;
-    unsigned cores_with_regions = 0;
-    for (unsigned t = 0; t < threads; ++t) {
-        const RegionStats &reg = sys->core(t).regionStats();
-        if (reg.regionCount() > 0) {
-            region_stores += reg.avgStoresPerRegion();
-            region_others += reg.avgOthersPerRegion();
-            ++cores_with_regions;
-        }
-    }
-    if (cores_with_regions) {
-        rs.avgRegionStores = region_stores / cores_with_regions;
-        rs.avgRegionOthers = region_others / cores_with_regions;
-    }
-    rs.freeIntHist = std::move(c.freeInt);
-    rs.freeFpHist = std::move(c.freeFp);
-    rs.coalescedStores = c.coalesced;
-    rs.persistOps = c.persist;
-    rs.ipc = rs.totalCycles
-                 ? static_cast<double>(rs.committedInsts) /
-                       static_cast<double>(rs.totalCycles)
-                 : 0.0;
-    rs.nvmWrites = c.nvmWrites;
-    rs.nvmReads = c.nvmReads;
-    rs.nvmBytesWritten = c.nvmBytes;
-    rs.wpqStallCycles = c.wpqStall;
-    rs.l2MissRatio = sys->memory().l2MissRatio();
+    counters().fill(rs, rs.totalCycles);
 
     if (!knobs.traceDir.empty())
         noteTrace(traces, threads, rs);

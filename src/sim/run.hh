@@ -67,20 +67,24 @@ std::unique_ptr<DynInstSource> makeStream(const WorkloadProfile &profile,
 
 /**
  * Snapshot of the machine's counters. Every field is monotonic or a
- * merged histogram of monotonic bins, so the segment runner subtracts
- * two snapshots exactly.
+ * merged histogram of monotonic bins, so two snapshots of one run
+ * subtract exactly, and the windows of several runs add up.
  */
 struct Counters
 {
+    Counters() = default;
+    /** All-zero counters of @p cores cores and the PRF sizes. */
+    Counters(unsigned cores, std::size_t int_prf, std::size_t fp_prf);
+
     std::uint64_t committedInsts = 0;
     std::uint64_t committedStores = 0;
     std::uint64_t regionCount = 0;
     std::uint64_t boundaryStall = 0;
     std::uint64_t renameStall = 0;
 
-    // Per-core region sums (Average only exposes mean/count, so the
-    // additive sum is reconstructed as mean * count; both snapshots
-    // reconstruct identically, keeping the delta deterministic).
+    // Per-core region counts and the exact sums of their stores and
+    // other instructions (integer-valued, so they add and subtract
+    // without rounding).
     std::vector<std::uint64_t> coreRegionCount;
     std::vector<double> coreRegionStoreSum;
     std::vector<double> coreRegionOtherSum;
@@ -96,6 +100,18 @@ struct Counters
 
     stats::Histogram freeInt;
     stats::Histogram freeFp;
+
+    Counters &operator+=(const Counters &other);
+    /** What happened from snapshot @p earlier to snapshot @p later. */
+    friend Counters operator-(Counters later, const Counters &earlier);
+
+    /**
+     * Fill every counter-derived field of @p rs: instruction, store
+     * and region counts, per-core stalls, region averages, memory
+     * counts, the free-register histograms, and ipc over
+     * @p total_cycles.
+     */
+    void fill(RunStats &rs, Cycle total_cycles) const;
 };
 
 class Run

@@ -1,7 +1,6 @@
 #include "sim/segment.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "sim/run.hh"
@@ -12,28 +11,11 @@ namespace ppa
 namespace
 {
 
-/** Per-bin difference of two snapshots of the same histogram. */
-stats::Histogram
-histDelta(const stats::Histogram &end, const stats::Histogram &warm)
-{
-    std::vector<std::uint64_t> bins = end.binCounts();
-    const std::vector<std::uint64_t> &wb = warm.binCounts();
-    PPA_ASSERT(bins.size() == wb.size(),
-               "histogram size mismatch in segment delta");
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        PPA_ASSERT(bins[i] >= wb[i],
-                   "histogram bin decreased across a segment");
-        bins[i] -= wb[i];
-    }
-    return stats::Histogram::fromBins(
-        std::move(bins), end.overflowCount() - warm.overflowCount());
-}
-
 /** Everything one segment's simulation produces. */
 struct SegmentOutcome
 {
-    sim::Counters warm;
-    sim::Counters end;
+    /** Counters of the measured window: end minus warmup snapshot. */
+    sim::Counters measured;
     Cycle warmEndCycle = 0;
     Cycle endCycle = 0;
     /** Failure, replay and audit counters and messages. Audit
@@ -76,7 +58,7 @@ runSegment(const WorkloadProfile &profile, SystemVariant variant,
     SegmentOutcome out;
     out.warmEndCycle = run.warmup((seg.begin - seg.warmupBegin) * threads,
                                   cap, 1);
-    out.warm = run.counters();
+    sim::Counters warm = run.counters();
 
     // Telemetry covers only the measured window: attach after the
     // discarded warmup prefix so stitched series line up with the
@@ -88,7 +70,7 @@ runSegment(const WorkloadProfile &profile, SystemVariant variant,
     run.armFailures(seg.failAt, out.warmEndCycle, out.audit);
     run.finish(cap);
     out.endCycle = run.system().cycle();
-    out.end = run.counters();
+    out.measured = run.counters() - warm;
     out.telemetry = run.harvestTelemetry();
     run.collectAudit(out.audit);
     return out;
@@ -107,11 +89,8 @@ planSegments(const ExperimentKnobs &knobs)
     // More segments than instructions would leave empty measured
     // windows; clamp so every segment measures at least one.
     std::uint64_t k = std::min<std::uint64_t>(knobs.timeParallel, insts);
-    unsigned stride = std::max(1u, knobs.tpSampleStride);
 
     SegmentPlan plan;
-    plan.warmupInsts = knobs.tpWarmupInsts;
-    plan.sampleStride = stride;
     std::uint64_t base = insts / k;
     std::uint64_t rem = insts % k;
     std::uint64_t begin = 0;
@@ -122,7 +101,6 @@ planSegments(const ExperimentKnobs &knobs)
         seg.warmupBegin = seg.begin > knobs.tpWarmupInsts
                               ? seg.begin - knobs.tpWarmupInsts
                               : 0;
-        seg.simulated = (s % stride) == 0;
         plan.segments.push_back(seg);
         begin = seg.end;
     }
@@ -131,10 +109,6 @@ planSegments(const ExperimentKnobs &knobs)
             fatal("tpFailAt names segment ", f.segment,
                   " but the plan has only ", plan.segments.size(),
                   " segment(s)");
-        }
-        if (!plan.segments[f.segment].simulated) {
-            fatal("tpFailAt names segment ", f.segment,
-                  ", which sampling stride ", stride, " skips");
         }
         plan.segments[f.segment].failAt.push_back(f.cycle);
     }
@@ -173,80 +147,30 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
         sim::noteTrace(traces, threads, rs);
     }
 
-    std::vector<unsigned> simIdx;
-    for (unsigned s = 0; s < plan.segments.size(); ++s) {
-        if (plan.segments[s].simulated)
-            simIdx.push_back(s);
-    }
-
     // Segment fan-out on the shared pool: results land in slots
     // indexed by segment, so scheduling order is invisible — the
     // time-parallel determinism contract.
     std::vector<SegmentOutcome> outcomes(plan.segments.size());
-    sim::runIndexed(knobs.tpWorkers, simIdx.size(), [&](std::size_t i) {
-        unsigned s = simIdx[i];
+    sim::runIndexed(knobs.tpWorkers, outcomes.size(), [&](std::size_t s) {
         outcomes[s] = runSegment(profile, variant, knobs, threads,
                                  plan.segments[s], traceSet);
     });
 
-    // ---- Stitch: sum measured-window deltas in segment order. -------
+    // ---- Stitch: sum measured windows in segment order. -------------
     rs.workload = profile.name;
     rs.variant = variant;
     rs.threads = threads;
     rs.tpSegments = static_cast<unsigned>(plan.segments.size());
-    rs.tpSimulatedSegments = static_cast<unsigned>(simIdx.size());
     rs.tpWarmupInsts = knobs.tpWarmupInsts;
-    rs.tpSampleStride = plan.sampleStride;
 
-    rs.freeIntHist = stats::Histogram(knobs.intPrf);
-    rs.freeFpHist = stats::Histogram(knobs.fpPrf);
-
-    std::vector<double> segCpi;
-    std::vector<double> storeSum(threads, 0.0);
-    std::vector<double> otherSum(threads, 0.0);
-    std::vector<std::uint64_t> regCount(threads, 0);
-    std::uint64_t l2h = 0;
-    std::uint64_t l2m = 0;
-    for (unsigned s : simIdx) {
-        const SegmentOutcome &o = outcomes[s];
-        Cycle seg_cycles = o.endCycle - o.warmEndCycle;
+    sim::Counters measured(threads, knobs.intPrf, knobs.fpPrf);
+    for (const SegmentOutcome &o : outcomes) {
         // Telemetry cycles are segment-relative; rebase them onto the
         // stitched timeline at the cycles accumulated so far.
         appendTelemetry(rs.telemetry, o.telemetry, rs.cycles);
-        rs.cycles += seg_cycles;
+        rs.cycles += o.endCycle - o.warmEndCycle;
         rs.tpWarmupCycles += o.warmEndCycle;
-        std::uint64_t seg_insts =
-            o.end.committedInsts - o.warm.committedInsts;
-        rs.committedInsts += seg_insts;
-        if (seg_insts) {
-            segCpi.push_back(static_cast<double>(seg_cycles) /
-                             static_cast<double>(seg_insts));
-        }
-        rs.committedStores +=
-            o.end.committedStores - o.warm.committedStores;
-        rs.regionCount += o.end.regionCount - o.warm.regionCount;
-        rs.boundaryStallCycles +=
-            o.end.boundaryStall - o.warm.boundaryStall;
-        rs.renameStallNoRegCycles +=
-            o.end.renameStall - o.warm.renameStall;
-        for (unsigned t = 0; t < threads; ++t) {
-            regCount[t] +=
-                o.end.coreRegionCount[t] - o.warm.coreRegionCount[t];
-            storeSum[t] += o.end.coreRegionStoreSum[t] -
-                           o.warm.coreRegionStoreSum[t];
-            otherSum[t] += o.end.coreRegionOtherSum[t] -
-                           o.warm.coreRegionOtherSum[t];
-        }
-        rs.nvmWrites += o.end.nvmWrites - o.warm.nvmWrites;
-        rs.nvmReads += o.end.nvmReads - o.warm.nvmReads;
-        rs.nvmBytesWritten += o.end.nvmBytes - o.warm.nvmBytes;
-        rs.wpqStallCycles += o.end.wpqStall - o.warm.wpqStall;
-        l2h += o.end.l2Hits - o.warm.l2Hits;
-        l2m += o.end.l2Misses - o.warm.l2Misses;
-        rs.coalescedStores += o.end.coalesced - o.warm.coalesced;
-        rs.persistOps += o.end.persist - o.warm.persist;
-        rs.freeIntHist.merge(histDelta(o.end.freeInt, o.warm.freeInt));
-        rs.freeFpHist.merge(histDelta(o.end.freeFp, o.warm.freeFp));
+        measured += o.measured;
         rs.auditEvents += o.audit.auditEvents;
         rs.auditViolations += o.audit.auditViolations;
         rs.powerFailures += o.audit.powerFailures;
@@ -261,92 +185,7 @@ runWorkloadTimeParallel(const WorkloadProfile &profile,
     // (per-segment warmup is discarded overlap work, reported via
     // tpWarmupCycles), so the measured window IS the whole run.
     rs.totalCycles = rs.cycles;
-
-    double region_stores = 0.0;
-    double region_others = 0.0;
-    unsigned cores_with_regions = 0;
-    for (unsigned t = 0; t < threads; ++t) {
-        if (regCount[t] > 0) {
-            region_stores +=
-                storeSum[t] / static_cast<double>(regCount[t]);
-            region_others +=
-                otherSum[t] / static_cast<double>(regCount[t]);
-            ++cores_with_regions;
-        }
-    }
-    if (cores_with_regions) {
-        rs.avgRegionStores = region_stores / cores_with_regions;
-        rs.avgRegionOthers = region_others / cores_with_regions;
-    }
-    // Per-core stall counters vs wall-clock cycles, as in the classic
-    // runner: normalize to per-core stalls.
-    rs.boundaryStallCycles /= threads;
-    rs.renameStallNoRegCycles /= threads;
-
-    rs.l2MissRatio = (l2h + l2m)
-                         ? static_cast<double>(l2m) /
-                               static_cast<double>(l2h + l2m)
-                         : 0.0;
-
-    if (plan.sampleStride > 1) {
-        // SimPoint-style extrapolation: scale additive counters by
-        // planned-instructions / simulated-planned-instructions.
-        // Ratios and histograms stay as measured; audit and failure
-        // counters are facts about what actually ran, never scaled.
-        std::uint64_t planned = 0;
-        std::uint64_t sim_planned = 0;
-        for (const SegmentPlan::Segment &seg : plan.segments) {
-            std::uint64_t window = (seg.end - seg.begin) * threads;
-            planned += window;
-            if (seg.simulated)
-                sim_planned += window;
-        }
-        double scale = sim_planned
-                           ? static_cast<double>(planned) /
-                                 static_cast<double>(sim_planned)
-                           : 1.0;
-        auto scaled = [scale](std::uint64_t v) {
-            return static_cast<std::uint64_t>(
-                std::llround(static_cast<double>(v) * scale));
-        };
-        rs.cycles = scaled(rs.cycles);
-        rs.totalCycles = rs.cycles;
-        rs.committedInsts = scaled(rs.committedInsts);
-        rs.committedStores = scaled(rs.committedStores);
-        rs.regionCount = scaled(rs.regionCount);
-        rs.boundaryStallCycles = scaled(rs.boundaryStallCycles);
-        rs.renameStallNoRegCycles = scaled(rs.renameStallNoRegCycles);
-        rs.nvmWrites = scaled(rs.nvmWrites);
-        rs.nvmReads = scaled(rs.nvmReads);
-        rs.nvmBytesWritten = scaled(rs.nvmBytesWritten);
-        rs.wpqStallCycles = scaled(rs.wpqStallCycles);
-        rs.coalescedStores = scaled(rs.coalescedStores);
-        rs.persistOps = scaled(rs.persistOps);
-
-        // Confidence: relative standard error of per-segment CPI
-        // across the simulated subset.
-        if (segCpi.size() >= 2) {
-            double mean = 0.0;
-            for (double v : segCpi)
-                mean += v;
-            mean /= static_cast<double>(segCpi.size());
-            double var = 0.0;
-            for (double v : segCpi)
-                var += (v - mean) * (v - mean);
-            var /= static_cast<double>(segCpi.size() - 1);
-            if (mean > 0.0) {
-                rs.tpCpiRelStderr =
-                    std::sqrt(var /
-                              static_cast<double>(segCpi.size())) /
-                    mean;
-            }
-        }
-    }
-
-    rs.ipc = rs.totalCycles
-                 ? static_cast<double>(rs.committedInsts) /
-                       static_cast<double>(rs.totalCycles)
-                 : 0.0;
+    measured.fill(rs, rs.totalCycles);
     return rs;
 }
 

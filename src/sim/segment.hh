@@ -21,10 +21,9 @@
  * carries a warmup-truncation error that shrinks as tpWarmupInsts
  * grows; `ppa_cli --time-parallel K --error-bound` quantifies it.
  *
- * Sampled mode (tpSampleStride > 1) simulates only every Nth segment
- * and extrapolates whole-run counters from the simulated subset,
- * SimPoint-style, reporting a confidence estimate
- * (RunStats::tpCpiRelStderr).
+ * Every segment is simulated: the stitched counters are the sum of
+ * the segments' measured windows, turned into RunStats by the same
+ * sim::Counters::fill as the classic runner's.
  */
 
 #ifndef PPA_SIM_SEGMENT_HH
@@ -93,32 +92,19 @@ struct SegmentPlan
         std::uint64_t warmupBegin = 0; ///< First simulated index
         std::uint64_t begin = 0;       ///< First measured index
         std::uint64_t end = 0;         ///< One past last measured index
-        bool simulated = true;         ///< False = skipped by sampling
         /** Failure-injection cycles, relative to the segment's
          *  measured window (0 = exactly at the join), sorted. */
         std::vector<Cycle> failAt;
     };
 
     std::vector<Segment> segments;
-    std::uint64_t warmupInsts = 0; ///< Requested per-segment warmup
-    unsigned sampleStride = 1;     ///< 1 = exact mode
-
-    unsigned
-    simulatedCount() const
-    {
-        unsigned n = 0;
-        for (const Segment &s : segments)
-            n += s.simulated ? 1 : 0;
-        return n;
-    }
 };
 
 /**
  * Build the segment plan for @p knobs: timeParallel segments (clamped
  * to the per-core instruction count), warmup prefixes clamped at the
- * stream start, sampling stride applied (segment 0 always simulates),
- * and tpFailAt entries attached to their segments. Fatal when a
- * tpFailAt entry names an out-of-range or sampled-out segment.
+ * stream start, and tpFailAt entries attached to their segments.
+ * Fatal when a tpFailAt entry names an out-of-range segment.
  */
 SegmentPlan planSegments(const ExperimentKnobs &knobs);
 

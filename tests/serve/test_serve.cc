@@ -394,9 +394,9 @@ TEST(Serve, JsonDocumentShape)
     cfg.failures = 2;
     ServeStats stats = runServeStudy(cfg, {ServeVariant::Ppa});
     std::string json = serveToJson(stats);
-    // Additive schema-v1 document of kind "serve"; per-variant metrics
-    // under stats.serve (docs/METRICS.md).
-    EXPECT_NE(json.find("\"schemaVersion\": 1"), std::string::npos);
+    // Schema-v2 document of kind "serve"; per-variant metrics under
+    // stats.serve (docs/METRICS.md).
+    EXPECT_NE(json.find("\"schemaVersion\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"kind\": \"serve\""), std::string::npos);
     EXPECT_NE(json.find("\"variants\": ["), std::string::npos);
     EXPECT_NE(json.find("\"serve\": {"), std::string::npos);

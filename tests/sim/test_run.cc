@@ -247,6 +247,50 @@ TEST(Run, ArmedFailuresFireOncePerCycleInOrder)
     EXPECT_TRUE(run.system().allDone());
 }
 
+TEST(Run, CounterWindowsAddBackToTheSnapshot)
+{
+    // Two snapshots of one 2-core run: the earlier one plus the window
+    // between them must give the later one back in every field.
+    ExperimentKnobs k;
+    k.instsPerCore = 10'000;
+    k.threads = 2;
+    sim::Run run(SystemVariant::Ppa, k, 2);
+    run.addStreams(profileByName("gcc"));
+    run.bindSources();
+    run.warmup(8'000, 10'000 * 400, 1);
+    sim::Counters warm = run.counters();
+    run.finish(10'000 * 400);
+    sim::Counters end = run.counters();
+    ASSERT_GT(warm.regionCount, 0u);
+    ASSERT_GT(end.regionCount, warm.regionCount);
+    ASSERT_GT(end.committedInsts, warm.committedInsts);
+
+    sim::Counters sum = warm;
+    sum += end - warm;
+    EXPECT_EQ(sum.committedInsts, end.committedInsts);
+    EXPECT_EQ(sum.committedStores, end.committedStores);
+    EXPECT_EQ(sum.regionCount, end.regionCount);
+    EXPECT_EQ(sum.boundaryStall, end.boundaryStall);
+    EXPECT_EQ(sum.renameStall, end.renameStall);
+    EXPECT_EQ(sum.coreRegionCount, end.coreRegionCount);
+    EXPECT_EQ(sum.coreRegionStoreSum, end.coreRegionStoreSum);
+    EXPECT_EQ(sum.coreRegionOtherSum, end.coreRegionOtherSum);
+    EXPECT_EQ(sum.nvmWrites, end.nvmWrites);
+    EXPECT_EQ(sum.nvmReads, end.nvmReads);
+    EXPECT_EQ(sum.nvmBytes, end.nvmBytes);
+    EXPECT_EQ(sum.wpqStall, end.wpqStall);
+    EXPECT_EQ(sum.l2Hits, end.l2Hits);
+    EXPECT_EQ(sum.l2Misses, end.l2Misses);
+    EXPECT_EQ(sum.coalesced, end.coalesced);
+    EXPECT_EQ(sum.persist, end.persist);
+    EXPECT_EQ(sum.freeInt.binCounts(), end.freeInt.binCounts());
+    EXPECT_EQ(sum.freeInt.overflowCount(), end.freeInt.overflowCount());
+    EXPECT_EQ(sum.freeInt.count(), end.freeInt.count());
+    EXPECT_EQ(sum.freeFp.binCounts(), end.freeFp.binCounts());
+    EXPECT_EQ(sum.freeFp.overflowCount(), end.freeFp.overflowCount());
+    EXPECT_EQ(sum.freeFp.count(), end.freeFp.count());
+}
+
 TEST(Run, PooledTagArraysCarryNoStateBetweenRuns)
 {
     // Cache and DRAM-cache tag arrays freed by one run are reused by

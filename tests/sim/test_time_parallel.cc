@@ -8,8 +8,7 @@
  * serial-scheduled vs parallel-scheduled execution of the same
  * segmented plan must agree bitwise, across the golden workload set
  * and with injected power failures. Also covered here: segment-plan
- * geometry edge cases, SimPoint-style sampling, and trace-vs-generator
- * agreement.
+ * geometry edge cases and trace-vs-generator agreement.
  */
 
 #include <gtest/gtest.h>
@@ -140,25 +139,6 @@ TEST(TimeParallel, SingleSegmentRoutesToClassicPath)
     EXPECT_EQ(metrics::runStatsToJson(a), metrics::runStatsToJson(b));
 }
 
-TEST(TimeParallel, SampledModeIsDeterministicAndExtrapolates)
-{
-    const WorkloadProfile &p = profileByName("gcc");
-    ExperimentKnobs k = tpKnobs(8);
-    k.tpSampleStride = 3; // simulate segments 0, 3, 6
-    EXPECT_EQ(statsAt(p, SystemVariant::Ppa, k, 1),
-              statsAt(p, SystemVariant::Ppa, k, 4));
-
-    RunStats rs = runWorkload(p, SystemVariant::Ppa, k);
-    EXPECT_EQ(rs.tpSegments, 8u);
-    EXPECT_EQ(rs.tpSimulatedSegments, 3u);
-    EXPECT_EQ(rs.tpSampleStride, 3u);
-    // Extrapolated counters approximate the full-stream totals.
-    EXPECT_NEAR(static_cast<double>(rs.committedInsts),
-                static_cast<double>(k.instsPerCore), 0.1 * 6'000);
-    EXPECT_GT(rs.totalCycles, 0u);
-    EXPECT_GE(rs.tpCpiRelStderr, 0.0);
-}
-
 TEST(TimeParallel, MoreSegmentsThanInstructionsClamps)
 {
     ExperimentKnobs k = tpKnobs(64, 16, 4);
@@ -196,12 +176,6 @@ TEST(TimeParallel, PlanPartitionsStreamAndClampsWarmup)
         expectBegin = seg.end;
     }
     EXPECT_EQ(expectBegin, k.instsPerCore);
-
-    k.tpSampleStride = 2;
-    plan = planSegments(k);
-    for (std::size_t s = 0; s < plan.segments.size(); ++s)
-        EXPECT_EQ(plan.segments[s].simulated, s % 2 == 0);
-    EXPECT_EQ(plan.simulatedCount(), 4u);
 }
 
 TEST(TimeParallel, SegmentShorterThanWarmupStaysExact)
@@ -266,12 +240,9 @@ TEST(TimeParallelDeath, ClassicFailureCyclesAreRejected)
                  "tpFailAt");
 }
 
-TEST(TimeParallelDeath, FailureInUnsimulatedSegmentIsRejected)
+TEST(TimeParallelDeath, FailureBeyondLastSegmentIsRejected)
 {
     ExperimentKnobs k = tpKnobs(8);
-    k.tpSampleStride = 2;
-    k.tpFailAt = {{1, 0}}; // segment 1 is sampled out
-    EXPECT_DEATH(planSegments(k), "skips");
-    k.tpFailAt = {{9, 0}}; // out of range
+    k.tpFailAt = {{9, 0}}; // the plan has segments 0..7
     EXPECT_DEATH(planSegments(k), "only");
 }

@@ -60,8 +60,6 @@ CASES = [
     (["run", "--app", "gcc", "--bw", "0"], "--bw must be positive"),
     (["run", "--app", "gcc", "--seed", "7x"],
      "--seed wants an unsigned integer"),
-    (["run", "--app", "gcc", "--time-parallel", "2", "--sampled", "0"],
-     "--sampled must be positive"),
     (["run", "--app", "gcc", "--telemetry-sample", "0"],
      "--telemetry-sample must be positive"),
     # profile and trace numerics share the same parser.

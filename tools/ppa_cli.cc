@@ -520,19 +520,11 @@ printStats(const RunStats &rs)
         t.addRow({"trace crc32", crc});
     }
     if (rs.tpSegments) {
-        t.addRow({"tp segments (simulated/total)",
-                  std::to_string(rs.tpSimulatedSegments) + "/" +
-                      std::to_string(rs.tpSegments)});
+        t.addRow({"tp segments", std::to_string(rs.tpSegments)});
         t.addRow({"tp warmup insts / segment",
                   std::to_string(rs.tpWarmupInsts)});
         t.addRow({"tp warmup cycles (overlap work)",
                   std::to_string(rs.tpWarmupCycles)});
-        if (rs.tpSampleStride > 1) {
-            t.addRow({"tp sample stride",
-                      std::to_string(rs.tpSampleStride)});
-            t.addRow({"tp CPI rel stderr",
-                      TextTable::percent(rs.tpCpiRelStderr, 2)});
-        }
     }
     if (rs.powerFailures) {
         t.addRow({"power failures injected",
@@ -1496,11 +1488,6 @@ commandTable(Options &o)
                     "while\nmicroarchitectural state re-converges (default "
                     "2000)",
                     k.tpWarmupInsts, parseCount),
-             number("--sampled", "N",
-                    "SimPoint-style sampling: simulate only every Nth "
-                    "segment and\nextrapolate, reporting a confidence "
-                    "estimate (default 1)",
-                    k.tpSampleStride, parsePositiveUnsigned),
              number("--tp-workers", "N",
                     "host threads for segment execution (0 = hardware); "
                     "results\nare identical for any value",

@@ -2,7 +2,7 @@
 """Render serve-study JSON into a per-variant comparison table.
 
 Consumes one or more documents produced by ``ppa_cli serve --json``
-(schemaVersion 1, kind "serve") and prints, per durability variant:
+(schemaVersion 2, kind "serve") and prints, per durability variant:
 completed requests, achieved vs offered throughput, tail latency
 (p50/p95/p99/p99.9/p99.99), and the failure study's recovery-time,
 data-loss-window, and lost-request medians/maxima.
@@ -32,7 +32,7 @@ def load(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         sys.exit(f"serve_report: cannot read {path}: {exc}")
-    if doc.get("schemaVersion") != 1:
+    if doc.get("schemaVersion") != 2:
         sys.exit(
             f"serve_report: {path}: unsupported schemaVersion "
             f"{doc.get('schemaVersion')!r}"
